@@ -1,8 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"elision/internal/harness"
+	"elision/internal/htm"
+	"elision/internal/obs"
+	"elision/internal/obs/causality"
 )
 
 // TestRejectsBadFleetFlags: elide accepts -j/-shards for cmd-tool
@@ -71,5 +79,40 @@ func TestAdaptiveRunsEndToEnd(t *testing.T) {
 		"-size", "64", "-budget", "100000", "-adaptive", "2/2,4/2,0/4,2/2"}
 	if err := run(args); err != nil {
 		t.Fatalf("run(%v) = %v", args, err)
+	}
+}
+
+// TestCausalityOutputsMatchSection4Run: the §4 lemming point (HLE over MCS,
+// size 64, at TestScale's 300k-cycle budget) driven through the flags
+// writes exactly the metrics CSV and trace-event JSON of the in-process
+// harness.CausalRun.
+func TestCausalityOutputsMatchSection4Run(t *testing.T) {
+	dir := t.TempDir()
+	metrics, traceJSON := filepath.Join(dir, "m.csv"), filepath.Join(dir, "t.json")
+	if err := run([]string{"-scheme", "hle", "-lock", "mcs", "-size", "64", "-budget", "300000",
+		"-causality", "-metrics", metrics, "-trace-json", traceJSON}); err != nil {
+		t.Fatal(err)
+	}
+
+	sc := harness.TestScale()
+	_, col, tr, eng := harness.CausalRun(sc.Section4Config(harness.SchemeHLE, harness.LockMCS), causality.Config{})
+	var wantCSV, wantTrace bytes.Buffer
+	col.WriteCSV(&wantCSV)
+	causeName := func(arg int64) string { return htm.Cause(arg).String() }
+	if err := obs.WriteChromeTraceFlows(&wantTrace, tr.Events(), causeName, eng.FlowEvents()); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		path string
+		want []byte
+	}{{metrics, wantCSV.Bytes()}, {traceJSON, wantTrace.Bytes()}} {
+		got, err := os.ReadFile(f.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, f.want) {
+			t.Errorf("%s differs from harness.CausalRun's output (%d vs %d bytes)",
+				filepath.Base(f.path), len(got), len(f.want))
+		}
 	}
 }

@@ -2,9 +2,13 @@
 // one process (sharing a memoized point cache across figures) and writes
 // the tables to the results/ directory as well as stdout:
 //
-//	go run ./cmd/reproduce            # full scale (tens of minutes)
-//	go run ./cmd/reproduce -quick     # reduced scale (about a minute)
-//	go run ./cmd/reproduce -j 8       # pin the fleet to 8 workers
+//	go run ./cmd/reproduce                         # full scale (tens of minutes)
+//	go run ./cmd/reproduce -quick                  # reduced scale (about a minute)
+//	go run ./cmd/reproduce -j 8                    # pin the fleet to 8 workers
+//	go run ./cmd/reproduce -only figure4,timeline  # just these results/ files
+//
+// Single points, with the metrics, hot-line and trace outputs, are
+// cmd/elide's job.
 package main
 
 import (
@@ -13,15 +17,14 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
 	"elision/internal/core"
 	"elision/internal/fleet"
 	"elision/internal/harness"
-	"elision/internal/htm"
 	"elision/internal/obs"
-	"elision/internal/obs/causality"
 	"elision/internal/obs/rollup"
 )
 
@@ -36,9 +39,7 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("reproduce", flag.ContinueOnError)
 	quick := fs.Bool("quick", false, "reduced scale")
 	outDir := fs.String("out", "results", "output directory")
-	traceJSON := fs.String("trace-json", "", "write the §4 lemming run's Chrome/Perfetto trace-event JSON to this file")
-	metricsOut := fs.String("metrics", "", "write the §4 lemming run's metrics report to this file ('-' = stdout; a .csv suffix selects CSV)")
-	hotLines := fs.Int("hot-lines", 0, "print the §4 lemming run's top-N conflict hot lines")
+	only := fs.String("only", "", "run just these comma-separated jobs, named by their results/ basename (e.g. figure4,timeline); empty = all")
 	j := fs.Int("j", 0, "parallel fleet workers (0 = all host CPUs)")
 	shards := fs.Int("shards", 0, "fleet work-stealing shards (0 = one per worker)")
 	adaptive := fs.String("adaptive", "", "also emit the adaptive-frontier table (results/adaptive.txt) comparing the adaptive family under this config (e.g. a cmd/tune winner, or 'default') against the fixed-policy schemes")
@@ -74,15 +75,6 @@ func run(args []string, stdout io.Writer) error {
 		sc = harness.TestScale()
 		ssc = harness.TestStampScale()
 	}
-	if err := os.MkdirAll(*outDir, 0o755); err != nil {
-		return err
-	}
-
-	if *traceJSON != "" || *metricsOut != "" || *hotLines > 0 {
-		if err := observeLemming(sc, *traceJSON, *metricsOut, *hotLines); err != nil {
-			return err
-		}
-	}
 
 	r := harness.NewRunner()
 	r.Workers = fc.Workers
@@ -102,63 +94,52 @@ func run(args []string, stdout io.Writer) error {
 		return s
 	})
 
-	write := func(name string, tables []harness.Table) error {
-		f, err := os.Create(filepath.Join(*outDir, name+".txt"))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w := io.MultiWriter(stdout, f)
-		for i := range tables {
-			tables[i].Render(w)
-		}
-		c, err := os.Create(filepath.Join(*outDir, name+".csv"))
-		if err != nil {
-			return err
-		}
-		defer c.Close()
-		for i := range tables {
-			tables[i].RenderCSV(c)
-		}
-		return nil
-	}
-
-	type job struct {
-		name string
-		gen  func() ([]harness.Table, error)
-	}
 	jobs := []job{
-		{"figure2", func() ([]harness.Table, error) { return harness.Figure2(r, sc), nil }},
-		{"figure3", func() ([]harness.Table, error) { return harness.Figure3(r, sc), nil }},
-		{"figure4", func() ([]harness.Table, error) { return harness.Figure4(r, sc), nil }},
-		{"figure9", func() ([]harness.Table, error) { return harness.Figure9(r, sc), nil }},
-		{"figure10", func() ([]harness.Table, error) { return harness.Figure10(r, sc), nil }},
-		{"hashtable", func() ([]harness.Table, error) { return harness.HashTableComparison(r, sc), nil }},
-		{"figure11", func() ([]harness.Table, error) {
+		{name: "figure2", gen: func() ([]harness.Table, error) { return harness.Figure2(r, sc), nil }},
+		{name: "figure3", gen: func() ([]harness.Table, error) { return harness.Figure3(r, sc), nil }},
+		{name: "figure4", gen: func() ([]harness.Table, error) { return harness.Figure4(r, sc), nil }},
+		{name: "figure9", gen: func() ([]harness.Table, error) { return harness.Figure9(r, sc), nil }},
+		{name: "figure10", gen: func() ([]harness.Table, error) { return harness.Figure10(r, sc), nil }},
+		{name: "hashtable", gen: func() ([]harness.Table, error) { return harness.HashTableComparison(r, sc), nil }},
+		{name: "figure11", gen: func() ([]harness.Table, error) {
 			return harness.Figure11(ssc, fc.Workers, r.Progress)
 		}},
-		{"analysis", func() ([]harness.Table, error) { return harness.AnalysisTables(r, sc), nil }},
-		{"figure9-smt", func() ([]harness.Table, error) { return harness.SMTFigure9(r, sc, 4), nil }},
-		{"scm-groups", func() ([]harness.Table, error) { return harness.GroupedSCMAblation(r, sc), nil }},
-		{"finegrained", func() ([]harness.Table, error) { return harness.FineGrainedComparison(sc), nil }},
-		{"fairness", func() ([]harness.Table, error) { return harness.FairnessComparison(sc), nil }},
-		{"sensitivity", func() ([]harness.Table, error) { return harness.CostSensitivity(sc), nil }},
-		{"fairlocks", func() ([]harness.Table, error) { return harness.FairLockLemming(r, sc), nil }},
+		{name: "analysis", gen: func() ([]harness.Table, error) { return harness.AnalysisTables(r, sc), nil }},
+		{name: "figure9-smt", gen: func() ([]harness.Table, error) { return harness.SMTFigure9(r, sc, 4), nil }},
+		{name: "scm-groups", gen: func() ([]harness.Table, error) { return harness.GroupedSCMAblation(r, sc), nil }},
+		{name: "finegrained", gen: func() ([]harness.Table, error) { return harness.FineGrainedComparison(sc), nil }},
+		{name: "fairness", gen: func() ([]harness.Table, error) { return harness.FairnessComparison(sc), nil }},
+		{name: "sensitivity", gen: func() ([]harness.Table, error) { return harness.CostSensitivity(sc), nil }},
+		{name: "fairlocks", gen: func() ([]harness.Table, error) { return harness.FairLockLemming(r, sc), nil }},
+		// The §4 swimlanes around the lemming trigger: one short run, the
+		// same at either scale.
+		{name: "timeline", text: func() string {
+			tl := sc
+			tl.Budget = 300_000
+			var sb strings.Builder
+			for _, lock := range []harness.LockID{harness.LockTTAS, harness.LockMCS} {
+				fmt.Fprintln(&sb, harness.LemmingTimeline(tl, lock))
+			}
+			return sb.String()
+		}},
 	}
 	if *adaptive != "" {
-		jobs = append(jobs, job{"adaptive", func() ([]harness.Table, error) {
+		jobs = append(jobs, job{name: "adaptive", gen: func() ([]harness.Table, error) {
 			return harness.AdaptiveFrontier(r, sc, acfg), nil
 		}})
+	}
+	jobs, err = selectJobs(jobs, *only)
+	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll(*outDir, 0o755); err != nil {
+		return err
 	}
 	for _, j := range jobs {
 		start := time.Now()
 		fmt.Fprintf(os.Stderr, "== %s ==\n", j.name)
-		tables, err := j.gen()
-		if err != nil {
+		if err := j.write(*outDir, stdout); err != nil {
 			return fmt.Errorf("%s: %w", j.name, err)
-		}
-		if err := write(j.name, tables); err != nil {
-			return err
 		}
 		fmt.Fprintf(os.Stderr, "   %s done in %v\n", j.name, time.Since(start).Round(time.Second))
 	}
@@ -217,52 +198,67 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// observeLemming runs the §4 serialization-dynamics point (plain HLE over
-// MCS) with the observability rig and abort-causality engine attached and
-// writes whichever outputs the flags requested: the hot-line table to
-// stdout, the metrics report (scorecard included), and the Chrome
-// trace-event JSON with cascade flow arrows.
-func observeLemming(sc harness.Scale, traceJSON, metricsOut string, hotN int) error {
-	fmt.Fprintln(os.Stderr, "== observe (§4 lemming point: hle over mcs) ==")
-	res, col, tr, eng := harness.CausalRun(sc.Section4Config(harness.SchemeHLE, harness.LockMCS), causality.Config{})
-	fmt.Fprintf(os.Stderr, "   %s\n", eng.Report().Verdict("hle", "mcs"))
-	annotate := func(line int) string {
-		if res.HasLockLine(line) {
-			return " (lock)"
-		}
-		return ""
-	}
-	if hotN > 0 {
-		col.Hot.WriteText(os.Stdout, hotN, annotate)
-	}
-	if metricsOut != "" {
-		w := os.Stdout
-		if metricsOut != "-" {
-			f, err := os.Create(metricsOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
-		}
-		if strings.HasSuffix(metricsOut, ".csv") {
-			col.WriteCSV(w)
-		} else {
-			col.WriteText(w, hotN, annotate)
-		}
-	}
-	if traceJSON != "" {
-		f, err := os.Create(traceJSON)
-		if err != nil {
+// job is one results/ artifact: gen's tables written as name.txt and
+// name.csv, or, for a job with text instead, a plain name.txt.
+type job struct {
+	name string
+	gen  func() ([]harness.Table, error)
+	text func() string
+}
+
+// write computes the job and writes its files under dir, echoing the text
+// form to stdout.
+func (j job) write(dir string, stdout io.Writer) error {
+	var tables []harness.Table
+	if j.gen != nil {
+		var err error
+		if tables, err = j.gen(); err != nil {
 			return err
 		}
-		defer f.Close()
-		if err := obs.WriteChromeTraceFlows(f, tr.Events(), func(arg int64) string {
-			return htm.Cause(arg).String()
-		}, eng.FlowEvents()); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "   wrote %d trace events to %s\n", tr.Len(), traceJSON)
+	}
+	f, err := os.Create(filepath.Join(dir, j.name+".txt"))
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	w := io.MultiWriter(stdout, f)
+	if j.text != nil {
+		_, err := io.WriteString(w, j.text())
+		return err
+	}
+	for i := range tables {
+		tables[i].Render(w)
+	}
+	c, err := os.Create(filepath.Join(dir, j.name+".csv"))
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	for i := range tables {
+		tables[i].RenderCSV(c)
 	}
 	return nil
+}
+
+// selectJobs keeps the jobs named in the comma-separated only list, in
+// list order; an empty list keeps them all.
+func selectJobs(jobs []job, only string) ([]job, error) {
+	if only == "" {
+		return jobs, nil
+	}
+	var known []string
+	for _, j := range jobs {
+		known = append(known, j.name)
+	}
+	names := strings.Split(only, ",")
+	for _, name := range names {
+		switch {
+		case slices.Contains(known, name):
+		case name == "adaptive":
+			return nil, fmt.Errorf("reproduce: -only adaptive requires -adaptive")
+		default:
+			return nil, fmt.Errorf("reproduce: unknown -only job %q (known: %s)", name, strings.Join(known, ","))
+		}
+	}
+	return slices.DeleteFunc(jobs, func(j job) bool { return !slices.Contains(names, j.name) }), nil
 }

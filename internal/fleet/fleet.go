@@ -37,7 +37,8 @@ type Config struct {
 	// Progress, when non-nil, is called after each completed job with the
 	// number done so far and the total. Calls are serialized and done is
 	// strictly increasing, but which job just finished is unspecified —
-	// progress is fleet-level, never per-job.
+	// progress is fleet-level, never per-job. Progress runs under Run's
+	// lock, so it must be quick and must not wait on other jobs.
 	Progress func(done, total int)
 	// Profile, when non-nil, records the fleet's own execution — job spans
 	// per worker, shard claims, steals, occupancy — without touching job
@@ -149,10 +150,9 @@ func Run(cfg Config, n int, job func(worker, index int)) {
 			return
 		}
 		progressMu.Lock()
+		defer progressMu.Unlock()
 		done++
-		d := done
-		progressMu.Unlock()
-		cfg.Progress(d, n)
+		cfg.Progress(done, n)
 	}
 
 	cfg.Profile.begin(workers)
@@ -249,27 +249,15 @@ func (g *Merger[T]) Sorted() []T {
 	return out
 }
 
-// TTYProgress returns a Progress callback rendering a carriage-return
-// progress line ("\r  done/total label") to w, with a newline once the
-// campaign completes — the shared progress reporter of the cmd tools.
-func TTYProgress(w io.Writer, label string) func(done, total int) {
-	return TTYProgressStatus(w, label, nil)
-}
-
-// TTYProgressStatus is TTYProgress with a live status suffix: when status is
-// non-nil and returns a non-empty string, it is appended in brackets
-// ("\r  done/total label [status]"). The cmd tools feed it live fleet state
-// — worker occupancy from Profile.StatusLine, prefill-cache hit rates — so
-// a long campaign shows what the fleet is doing, not just how far it is.
+// TTYProgressStatus returns the cmd tools' Progress callback: a
+// carriage-return line "\r  done/total label [status]" on w, ended by a
+// newline at completion. The bracketed suffix is status's live fleet state
+// (occupancy, prefill hit rate), omitted when status is nil or returns "".
 // The line is padded so a shrinking status never leaves stale characters.
-// The callback serializes itself: Run invokes Progress from every worker
-// goroutine concurrently.
+// Not safe for concurrent use; Run serializes Progress.
 func TTYProgressStatus(w io.Writer, label string, status func() string) func(done, total int) {
-	var mu sync.Mutex
 	width := 0
 	return func(done, total int) {
-		mu.Lock()
-		defer mu.Unlock()
 		line := fmt.Sprintf("  %d/%d %s", done, total, label)
 		if status != nil {
 			if s := status(); s != "" {

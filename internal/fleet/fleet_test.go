@@ -157,7 +157,7 @@ func TestFlagsValidation(t *testing.T) {
 // TestTTYProgress renders the final newline exactly at completion.
 func TestTTYProgress(t *testing.T) {
 	var sb strings.Builder
-	p := TTYProgress(&sb, "points")
+	p := TTYProgressStatus(&sb, "points", nil)
 	p(1, 2)
 	p(2, 2)
 	out := sb.String()

@@ -13,6 +13,7 @@ package harness
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -29,6 +30,15 @@ func digestTables(tabs []Table) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// digestTimeline hashes the §4 lemming timelines for TTAS and MCS.
+func digestTimeline(sc Scale) string {
+	h := sha256.New()
+	for _, lock := range []LockID{LockTTAS, LockMCS} {
+		fmt.Fprintln(h, LemmingTimeline(sc, lock))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // goldenFigureDigests pins every figure's TestScale results.
 var goldenFigureDigests = map[string]string{
 	"figure2":   "7c5a7cc000de1429955a3d663d8d95046233476b84fbfe231fa3b6cb431eb571",
@@ -38,6 +48,18 @@ var goldenFigureDigests = map[string]string{
 	"figure10":  "2a1ef0c70c0b290c928bf88f94e642350537a61f006c0a515e8b6b81edb888ba",
 	"figure11":  "86750485274679f0a5ddc4aa07eb9a96a211741de29744a19863a909aac02e01",
 	"hashtable": "3d3ebf53041209825365387d7e747a85c9dbf27b5af1cd80c33f551bef5765e8",
+
+	"analysis":    "7ca15ca70839914655e54c854204d42f2153bfefe270a1d046b0b553b0d69db1",
+	"figure9-smt": "adc85a9af93ca67f37052343afdd6a5053074b32843eb9bc7b6fbdacce808bc4",
+	"scm-groups":  "992cb98f9d69e5ce6e2d805fcdab42fe394f882acb32a78b68883ca1e2087d49",
+	"finegrained": "be86e4be1a2284ccf1a3499c9f031aa00520f10be7ee1ba4c333ab80de27727d",
+	"fairness":    "008d14de46e107c1d9b93937eb213e8fbf65dee1e993e3506787a4e963927774",
+	"sensitivity": "e73191ab5f7d0355f075a44c1e65e6f9990df68b53858ca044e80c2fb8460a6e",
+	"fairlocks":   "aa05eb5a7bf973c2790d381b1190b934fd4ac735cf5e29b6e23ca7583033c01f",
+
+	// timeline pins the text of LemmingTimeline for TTAS then MCS, each
+	// followed by a newline (cmd/reproduce's results/timeline.txt).
+	"timeline": "95d9349cf0e39c7b93baebdce2039ee72a342d2d72c9ef210e5d4538e89374ec",
 }
 
 func TestGoldenFigureDigests(t *testing.T) {
@@ -60,11 +82,24 @@ func TestGoldenFigureDigests(t *testing.T) {
 			return tabs
 		}},
 		{"hashtable", func(t *testing.T) []Table { return HashTableComparison(r, sc) }},
+		{"analysis", func(t *testing.T) []Table { return AnalysisTables(r, sc) }},
+		{"figure9-smt", func(t *testing.T) []Table { return SMTFigure9(r, sc, 4) }},
+		{"scm-groups", func(t *testing.T) []Table { return GroupedSCMAblation(r, sc) }},
+		{"finegrained", func(t *testing.T) []Table { return FineGrainedComparison(sc) }},
+		{"fairness", func(t *testing.T) []Table { return FairnessComparison(sc) }},
+		{"sensitivity", func(t *testing.T) []Table { return CostSensitivity(sc) }},
+		{"fairlocks", func(t *testing.T) []Table { return FairLockLemming(r, sc) }},
+		{"timeline", nil}, // text, not tables: see digestTimeline
 	}
 	for _, f := range figs {
 		f := f
 		t.Run(f.name, func(t *testing.T) {
-			got := digestTables(f.run(t))
+			var got string
+			if f.run != nil {
+				got = digestTables(f.run(t))
+			} else {
+				got = digestTimeline(sc)
+			}
 			t.Logf("digest %s: %s", f.name, got)
 			want, ok := goldenFigureDigests[f.name]
 			if !ok {

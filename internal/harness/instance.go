@@ -39,18 +39,29 @@ type fillImage struct {
 
 // FillCache shares prefill snapshots between pooled instances: the first
 // point of a fill-key pays the O(Size) insert replay and captures the
-// image; every later point restores it with a copy. Safe for concurrent
-// use by fleet workers.
+// image; every later point restores it with a copy. Fills are single-flight
+// per key: a point that claims a key while another worker is filling it
+// waits for that image instead of replaying the fill itself, so a campaign
+// counts exactly one miss per key and one hit per further point at any -j.
+// Safe for concurrent use by fleet workers.
 type FillCache struct {
-	mu    sync.RWMutex
-	snaps map[fillKey]*fillImage
+	mu    sync.Mutex
+	snaps map[fillKey]*fillEntry
 	hits  atomic.Uint64
 	miss  atomic.Uint64
 }
 
+// fillEntry is one key's slot: ready closes once the filling worker has
+// set img, or has withdrawn the entry (img stays nil) because its fill
+// panicked.
+type fillEntry struct {
+	ready chan struct{}
+	img   *fillImage
+}
+
 // NewFillCache returns an empty prefill-snapshot cache.
 func NewFillCache() *FillCache {
-	return &FillCache{snaps: make(map[fillKey]*fillImage)}
+	return &FillCache{snaps: make(map[fillKey]*fillEntry)}
 }
 
 // Stats reports how many prefetches were served from a snapshot (hits) vs
@@ -59,23 +70,29 @@ func (fc *FillCache) Stats() (hits, misses uint64) {
 	return fc.hits.Load(), fc.miss.Load()
 }
 
-// lookup returns the snapshot for key, or nil.
-func (fc *FillCache) lookup(key fillKey) *fillImage {
-	fc.mu.RLock()
-	snap := fc.snaps[key]
-	fc.mu.RUnlock()
-	return snap
+// claim returns key's entry, creating it when absent; the creator owns
+// it, must fill it and then call finish, while everyone else waits on ready.
+func (fc *FillCache) claim(key fillKey) (e *fillEntry, owner bool) {
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	if e = fc.snaps[key]; e == nil {
+		e = &fillEntry{ready: make(chan struct{})}
+		fc.snaps[key] = e
+		owner = true
+	}
+	return e, owner
 }
 
-// publish stores a freshly captured snapshot. Two workers racing on the
-// same key capture identical images (the fill is deterministic), so the
-// first simply wins.
-func (fc *FillCache) publish(key fillKey, snap *fillImage) {
-	fc.mu.Lock()
-	if _, ok := fc.snaps[key]; !ok {
-		fc.snaps[key] = snap
+// finish publishes the owner's image and wakes the waiters. A nil img
+// withdraws the entry, so the next claimant of key fills it afresh.
+func (fc *FillCache) finish(key fillKey, e *fillEntry, img *fillImage) {
+	if img == nil {
+		fc.mu.Lock()
+		delete(fc.snaps, key)
+		fc.mu.Unlock()
 	}
-	fc.mu.Unlock()
+	e.img = img
+	close(e.ready)
 }
 
 // Instance is a poolable simulator: one sim.Machine plus one htm.Memory,
@@ -126,29 +143,46 @@ func buildStructure(hm *htm.Memory, cfg DSConfig) dataStructure {
 }
 
 // prefill brings the structure to its steady-state Size: from a snapshot
-// copy when the FillCache already holds this fill-key, otherwise by the
-// cold §4 methodology — random keys from a domain of size 2*Size until
-// Size elements are held — capturing the image for the next point.
+// copy when the FillCache holds (or another worker is filling) this
+// fill-key, otherwise by a cold fill whose image it captures for the next
+// point.
 func (in *Instance) prefill(cfg DSConfig, ds dataStructure, domain uint64) {
+	if in.fills == nil {
+		coldFill(in.hm, cfg, ds, domain)
+		return
+	}
 	key := fillKey{cfg.Structure, cfg.Threads, cfg.Size, cfg.Seed}
-	if in.fills != nil {
-		if snap := in.fills.lookup(key); snap != nil {
-			in.hm.Store().Restore(snap.words, snap.brk)
+	for {
+		e, owner := in.fills.claim(key)
+		if owner {
+			var img *fillImage
+			// Release the entry even if the fill panics, so waiters wake.
+			defer func() { in.fills.finish(key, e, img) }()
+			coldFill(in.hm, cfg, ds, domain)
+			words, brk := in.hm.Store().Snapshot()
+			img = &fillImage{words: words, brk: brk}
+			in.fills.miss.Add(1)
+			return
+		}
+		<-e.ready
+		if e.img != nil {
+			in.hm.Store().Restore(e.img.words, e.img.brk)
 			in.fills.hits.Add(1)
 			return
 		}
+		// The owner's fill panicked and withdrew the entry; claim again.
 	}
-	raw := htm.Raw{M: in.hm}
+}
+
+// coldFill replays the §4 methodology: random keys from a domain of size
+// domain until Size elements are held.
+func coldFill(hm *htm.Memory, cfg DSConfig, ds dataStructure, domain uint64) {
+	raw := htm.Raw{M: hm}
 	rng := rand.New(rand.NewSource(int64(cfg.Seed) + 1))
 	for n := 0; n < cfg.Size; {
 		if ds.Insert(raw, rng.Int63n(int64(domain)), 1) {
 			n++
 		}
-	}
-	if in.fills != nil {
-		words, brk := in.hm.Store().Snapshot()
-		in.fills.publish(key, &fillImage{words: words, brk: brk})
-		in.fills.miss.Add(1)
 	}
 }
 

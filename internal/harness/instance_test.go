@@ -3,6 +3,8 @@ package harness
 import (
 	"reflect"
 	"testing"
+
+	"elision/internal/htm"
 )
 
 // instanceTestConfigs returns three benchmark points spanning both
@@ -77,6 +79,51 @@ func TestFillCacheSharedAcrossSchemes(t *testing.T) {
 	hits, misses := r.PrefillStats()
 	if misses != 1 || hits != uint64(len(grid)-1) {
 		t.Fatalf("prefill stats = %d hits / %d misses, want %d/1", hits, misses, len(grid)-1)
+	}
+}
+
+// panickyFill is a data structure whose first insert panics, after
+// grabbing the in-flight fill entry the way a waiting worker would.
+type panickyFill struct {
+	dataStructure
+	fills  *FillCache
+	key    fillKey
+	waiter *fillEntry
+}
+
+func (p *panickyFill) Insert(htm.Accessor, int64, int64) bool {
+	p.waiter, _ = p.fills.claim(p.key)
+	panic("fill failed")
+}
+
+// TestFillCachePanickedFillReleases: a cold fill that panics must wake its
+// waiters and withdraw the entry, so the next point fills the key afresh.
+func TestFillCachePanickedFillReleases(t *testing.T) {
+	a, _, _ := instanceTestConfigs()
+	fills := NewFillCache()
+	in := NewInstance(fills)
+	ds := &panickyFill{fills: fills, key: fillKey{a.Structure, a.Threads, a.Size, a.Seed}}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("fill did not panic")
+			}
+		}()
+		in.prefill(a, ds, 2*uint64(a.Size))
+	}()
+	select {
+	case <-ds.waiter.ready:
+	default:
+		t.Fatal("waiter still blocked after the filling worker panicked")
+	}
+	if ds.waiter.img != nil {
+		t.Fatal("panicked fill published an image")
+	}
+	if got, want := in.Run(a), RunDataStructure(a); !reflect.DeepEqual(got, want) {
+		t.Fatal("point after a panicked fill diverges from a fresh run")
+	}
+	if hits, misses := fills.Stats(); hits != 0 || misses != 1 {
+		t.Fatalf("prefill stats = %d hits / %d misses, want 0/1", hits, misses)
 	}
 }
 

@@ -24,19 +24,19 @@ func CostSensitivity(sc Scale) []Table {
 			nt),
 		Columns: []string{"miss:hit", "ttas-hle-speedup", "mcs-hle-speedup", "ttas-nonspec", "mcs-nonspec"},
 	}
-	for _, ratio := range ratios {
+	for _, missHit := range ratios {
 		cost := sim.DefaultCost()
 		cost.MemHit = 4
-		cost.MemMiss = 4 * ratio
+		cost.MemMiss = 4 * missHit
 		var speed [2]float64
 		var nonspec [2]float64
 		for i, lock := range benchLocks {
 			hle := runCostPoint(sc, nt, lock, core.SchemeNameHLE, cost)
 			std := runCostPoint(sc, nt, lock, core.SchemeNameStandard, cost)
-			speed[i] = ratio2(hle.tput, std.tput)
+			speed[i] = ratio(hle.tput, std.tput)
 			nonspec[i] = hle.nonspec
 		}
-		t.AddRow(fmt.Sprintf("%d:1", ratio), F2(speed[0]), F2(speed[1]), F3(nonspec[0]), F3(nonspec[1]))
+		t.AddRow(fmt.Sprintf("%d:1", missHit), F2(speed[0]), F2(speed[1]), F3(nonspec[0]), F3(nonspec[1]))
 	}
 	return []Table{t}
 }
@@ -95,13 +95,4 @@ func runCostPoint(sc Scale, threads int, lock LockID, scheme string, cost sim.Co
 		tput:    float64(stats.Ops) * 1e6 / float64(maxClock),
 		nonspec: stats.NonSpecFraction(),
 	}
-}
-
-// ratio2 guards against division by zero (local alias; ratio lives in
-// figures.go).
-func ratio2(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
 }
