@@ -21,6 +21,7 @@ import (
 	"elision/internal/obs"
 	"elision/internal/obs/causality"
 	"elision/internal/obs/flight"
+	"elision/internal/sim"
 	"elision/internal/trace"
 )
 
@@ -111,8 +112,11 @@ func run(args []string) error {
 			return fmt.Errorf("elide: bad -adaptive %q: %w", *adaptive, err)
 		}
 	}
-	if *threads < 1 {
-		return fmt.Errorf("elide: -threads must be >= 1 (got %d)", *threads)
+	if *threads < 1 || *threads > sim.MaxProcs {
+		return fmt.Errorf("elide: -threads must be in [1,%d] (got %d)", sim.MaxProcs, *threads)
+	}
+	if *size < 0 {
+		return fmt.Errorf("elide: -size must be >= 0 (got %d)", *size)
 	}
 	if *quantum == 0 {
 		return fmt.Errorf("elide: -quantum must be > 0")
@@ -120,6 +124,9 @@ func run(args []string) error {
 	var mix harness.Mix
 	if _, err := fmt.Sscanf(strings.ReplaceAll(*mixFlag, ",", " "), "%d %d", &mix.InsertPct, &mix.DeletePct); err != nil {
 		return fmt.Errorf("elide: bad -mix %q: %w", *mixFlag, err)
+	}
+	if mix.InsertPct < 0 || mix.DeletePct < 0 || mix.InsertPct+mix.DeletePct > 100 {
+		return fmt.Errorf("elide: bad -mix %q: percentages must be >= 0 and sum to at most 100", *mixFlag)
 	}
 	st := harness.StructTree
 	if *structure == "hashtable" {

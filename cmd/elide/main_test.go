@@ -30,8 +30,8 @@ func TestRejectsBadFleetFlags(t *testing.T) {
 	}
 }
 
-// TestRejectsBadNames: typos in -scheme/-lock must be flag errors naming the
-// accepted set, not harness panics mid-run.
+// TestRejectsBadNames: typos in -scheme/-lock, and out-of-range -threads,
+// -size and -mix, must be flag errors, not harness panics or nonsense runs.
 func TestRejectsBadNames(t *testing.T) {
 	err := run([]string{"-scheme", "hle-scmm"})
 	if err == nil || !strings.Contains(err.Error(), "unknown -scheme") {
@@ -43,8 +43,14 @@ func TestRejectsBadNames(t *testing.T) {
 	if err := run([]string{"-lock", "mcss"}); err == nil || !strings.Contains(err.Error(), "unknown -lock") {
 		t.Fatalf("run(-lock mcss) = %v, want unknown-lock error", err)
 	}
-	if err := run([]string{"-threads", "0"}); err == nil || !strings.Contains(err.Error(), "-threads") {
-		t.Fatalf("run(-threads 0) = %v, want -threads complaint", err)
+	for _, bad := range [][]string{
+		{"-threads", "0"}, {"-threads", "65"}, // outside [1, sim.MaxProcs]
+		{"-size", "-5"},
+		{"-mix", "60,60"}, {"-mix", "-10,0"}, {"-mix", "0,-1"}, // sum > 100, negative
+	} {
+		if err := run(bad); err == nil || !strings.Contains(err.Error(), bad[0]) {
+			t.Fatalf("run(%s %s) = %v, want %s complaint", bad[0], bad[1], err, bad[0])
+		}
 	}
 	if err := run([]string{"-quantum", "0"}); err == nil || !strings.Contains(err.Error(), "-quantum") {
 		t.Fatalf("run(-quantum 0) = %v, want -quantum complaint", err)

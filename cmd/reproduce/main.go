@@ -12,6 +12,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -170,12 +171,9 @@ func run(args []string, stdout io.Writer) error {
 			fleetReg := obs.NewRegistry()
 			r.Metrics(fleetReg)
 			prof.Metrics(fleetReg)
-			f, err := os.Create(*prom)
-			if err != nil {
-				return err
-			}
-			ru.WritePrometheus(f, fleetReg)
-			if err := f.Close(); err != nil {
+			var expo bytes.Buffer
+			ru.WritePrometheus(&expo, fleetReg)
+			if err := writeLinted(*prom, expo.Bytes()); err != nil {
 				return err
 			}
 			fmt.Fprintf(os.Stderr, "   wrote %s\n", *prom)
@@ -196,6 +194,15 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(os.Stderr, "   wrote fleet trace %s\n", *fleetTrace)
 	}
 	return nil
+}
+
+// writeLinted writes a Prometheus exposition to path only if it passes
+// obs.LintPrometheus: a malformed exposition is an error, not a file.
+func writeLinted(path string, expo []byte) error {
+	if err := obs.LintPrometheus(bytes.NewReader(expo)); err != nil {
+		return fmt.Errorf("reproduce: -prom exposition does not lint: %w", err)
+	}
+	return os.WriteFile(path, expo, 0o644)
 }
 
 // job is one results/ artifact: gen's tables written as name.txt and

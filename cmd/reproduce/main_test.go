@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"elision/internal/harness"
+	"elision/internal/obs"
 )
 
 // TestRejectsBadFleetFlags: negative -j / -shards exit non-zero before any
@@ -113,6 +115,76 @@ func TestQuickFigureWorkerInvariance(t *testing.T) {
 	}
 	if !bytes.Equal(out1, out8) {
 		t.Fatal("-j 1 and -j 8 printed different tables")
+	}
+}
+
+// TestObservedCampaignArtifacts: at -j 1 and at -j 8 with a mismatched shard
+// count, the rollup is byte-identical and the exposition differs only in its
+// host-state lines (fleet_*, and the worker pool's harness_instance_* and
+// harness_pool_*). The exposition lints and carries the campaign, htm,
+// harness and fleet families; the fleet trace is non-empty trace-event JSON.
+func TestObservedCampaignArtifacts(t *testing.T) {
+	type artifacts struct{ rollup, prom, trace []byte }
+	observed := func(workers ...string) artifacts {
+		obsDir := t.TempDir()
+		quickFigure4(t, append(workers, "-rollup", filepath.Join(obsDir, "r"),
+			"-prom", filepath.Join(obsDir, "p"), "-fleet-trace", filepath.Join(obsDir, "f"))...)
+		return artifacts{readFile(t, obsDir, "r"), readFile(t, obsDir, "p"), readFile(t, obsDir, "f")}
+	}
+	a1, a8 := observed("-j", "1"), observed("-j", "8", "-shards", "3")
+	if !bytes.Equal(a1.rollup, a8.rollup) {
+		t.Fatalf("-j 1 and -j 8 wrote different rollups\n--- j1 ---\n%s--- j8 ---\n%s", a1.rollup, a8.rollup)
+	}
+	deterministic := func(raw []byte) string {
+		var keep []string
+		for _, line := range strings.Split(string(raw), "\n") {
+			if !strings.Contains(line, "fleet_") && !strings.Contains(line, "harness_instance_") &&
+				!strings.Contains(line, "harness_pool_") {
+				keep = append(keep, line)
+			}
+		}
+		return strings.Join(keep, "\n")
+	}
+	if deterministic(a1.prom) != deterministic(a8.prom) {
+		t.Fatalf("-j 1 and -j 8 expositions differ outside the host-state lines\n--- j1 ---\n%s\n--- j8 ---\n%s",
+			deterministic(a1.prom), deterministic(a8.prom))
+	}
+	if err := obs.LintPrometheus(bytes.NewReader(a1.prom)); err != nil {
+		t.Fatalf("exposition does not lint: %v", err)
+	}
+	for _, want := range []string{
+		"campaign_runs_total", "htm_commits_total", "harness_prefill_hits_total", "fleet_jobs_total",
+	} {
+		if !bytes.Contains(a1.prom, []byte(want)) {
+			t.Errorf("exposition lacks %q", want)
+		}
+	}
+	var events []obs.TraceEvent
+	if err := json.Unmarshal(a1.trace, &events); err != nil {
+		t.Fatalf("fleet trace is not trace-event JSON: %v", err)
+	}
+	if len(events) == 0 {
+		t.Fatal("fleet trace is empty")
+	}
+}
+
+// TestWriteLintedRejectsBadExposition: an exposition that fails the lint is
+// an error and leaves no file behind; a valid one is written as given.
+func TestWriteLintedRejectsBadExposition(t *testing.T) {
+	dir := t.TempDir()
+	bad := filepath.Join(dir, "bad.prom")
+	if err := writeLinted(bad, []byte("bad-name 1\n")); err == nil || !strings.Contains(err.Error(), "does not lint") {
+		t.Fatalf("writeLinted(bad) = %v, want lint error", err)
+	}
+	if _, err := os.Stat(bad); !os.IsNotExist(err) {
+		t.Fatalf("rejected exposition was written (stat err %v)", err)
+	}
+	good := []byte("# TYPE runs_total counter\nruns_total 3\n")
+	if err := writeLinted(filepath.Join(dir, "good.prom"), good); err != nil {
+		t.Fatal(err)
+	}
+	if got := readFile(t, dir, "good.prom"); !bytes.Equal(got, good) {
+		t.Fatalf("wrote %q, want %q", got, good)
 	}
 }
 

@@ -3,6 +3,10 @@ package harness
 import (
 	"fmt"
 	"testing"
+	"time"
+
+	"elision/internal/obs"
+	"elision/internal/obs/flight"
 )
 
 // benchCampaignGrid is a small scheme×lock×structure grid sharing two
@@ -72,4 +76,36 @@ func BenchmarkPrefillRestore(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		in.Run(cfg)
 	}
+}
+
+// BenchmarkFlightOverhead measures the flight recorder's host-time cost on
+// the lemming point (HLE over MCS, the heaviest event rate), alternating an
+// unobserved run with one that attaches a recorder in campaign retention
+// mode (registry aggregates only, no raw chains). It reports flight-ratio,
+// recorder time over unobserved time; CI fails above 3.0.
+func BenchmarkFlightOverhead(b *testing.B) {
+	cfg := DSConfig{
+		Structure: StructTree, Threads: 8, Size: 128, Mix: MixModerate,
+		Scheme: SchemeHLE, Lock: LockMCS,
+		BudgetCycles: 400_000, Seed: 42, Quantum: 128,
+	}
+	unobserved := func() { RunDataStructure(cfg) }
+	recorded := func() {
+		col := obs.NewCollector(string(cfg.Scheme), string(cfg.Lock), 0)
+		flight.Attach(col, flight.Config{MaxChains: -1})
+		RunDataStructureObserved(cfg, col, nil)
+	}
+	unobserved() // warm up both paths
+	recorded()
+	var off, on time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		unobserved()
+		mid := time.Now()
+		recorded()
+		off += mid.Sub(start)
+		on += time.Since(mid)
+	}
+	b.ReportMetric(float64(on)/float64(off), "flight-ratio")
 }

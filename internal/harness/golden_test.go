@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"elision/internal/stamp"
 )
 
 // digestTables hashes the CSV rendering of a table set. CSV is the
@@ -109,6 +111,53 @@ func TestGoldenFigureDigests(t *testing.T) {
 				t.Errorf("%s digest = %s, want %s\n"+
 					"(simulated results changed; if the model change is deliberate, re-pin goldenFigureDigests)",
 					f.name, got, want)
+			}
+		})
+	}
+}
+
+// TestSimFingerprints pins the simulated work of five single points that
+// span the lemming, SLR, SCM, SMT and STAMP code paths: the virtual cycles
+// covered and the transaction attempts made. Like the figure digests, a
+// host-time change must leave them exact.
+func TestSimFingerprints(t *testing.T) {
+	base := DSConfig{
+		Threads: 8, Size: 128, Mix: MixModerate,
+		BudgetCycles: 400_000, Seed: 42, Quantum: 128,
+	}
+	point := func(st Structure, scheme SchemeID, lock LockID, cores int) func(*testing.T) (uint64, uint64) {
+		cfg := base
+		cfg.Structure, cfg.Scheme, cfg.Lock, cfg.Cores = st, scheme, lock, cores
+		return func(*testing.T) (uint64, uint64) {
+			r := RunDataStructure(cfg)
+			return r.Cycles, r.Stats.Attempts
+		}
+	}
+	cases := []struct {
+		name             string
+		run              func(*testing.T) (uint64, uint64)
+		cycles, attempts uint64
+	}{
+		{"rbtree-hle-mcs-8t", point(StructTree, SchemeHLE, LockMCS, 0), 402592, 2436},
+		{"rbtree-optslr-mcs-8t", point(StructTree, SchemeOptSLR, LockMCS, 0), 401932, 11937},
+		{"hash-hlescm-ttas-8t", point(StructHash, SchemeHLESCM, LockTTAS, 0), 400140, 27094},
+		{"rbtree-hleretries-mcs-8t-smt4", point(StructTree, SchemeHLERetries, LockMCS, 4), 400972, 7518},
+		{"stamp-kmeans-high-8t", func(t *testing.T) (uint64, uint64) {
+			r, err := stamp.Run(stamp.Config{
+				App: "kmeans-high", Scheme: "hle-scm", Lock: "ttas",
+				Threads: 8, Factor: 1, Seed: 42, Quantum: 128,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r.Cycles, r.Stats.Attempts
+		}, 323208, 1984},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cycles, attempts := c.run(t)
+			if cycles != c.cycles || attempts != c.attempts {
+				t.Errorf("cycles/attempts = %d/%d, want %d/%d", cycles, attempts, c.cycles, c.attempts)
 			}
 		})
 	}

@@ -65,7 +65,7 @@ func NewFillCache() *FillCache {
 }
 
 // Stats reports how many prefetches were served from a snapshot (hits) vs
-// paid in full (misses) — the bench campaign's prefill-restore hit rate.
+// paid in full (misses): the prefill-restore hit rate.
 func (fc *FillCache) Stats() (hits, misses uint64) {
 	return fc.hits.Load(), fc.miss.Load()
 }

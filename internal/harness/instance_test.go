@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"elision/internal/fleet"
 	"elision/internal/htm"
 )
 
@@ -66,19 +67,39 @@ func TestPrefillRestoreMatchesColdFill(t *testing.T) {
 }
 
 // TestFillCacheSharedAcrossSchemes: points differing only in scheme/lock
-// share one fill key, so a grid of n such points pays exactly one cold fill.
+// share one fill key, so a grid pays exactly one cold fill per key, even
+// when parallel workers reach a key at once.
 func TestFillCacheSharedAcrossSchemes(t *testing.T) {
 	a, _, _ := instanceTestConfigs()
-	grid := []DSConfig{a, a, a, a}
-	grid[1].Scheme = SchemeOptSLR
-	grid[2].Lock = LockTTAS
-	grid[3].Scheme, grid[3].Lock = SchemeStandard, LockTTAS
+	oneKey := []DSConfig{a, a, a, a}
+	oneKey[1].Scheme = SchemeOptSLR
+	oneKey[2].Lock = LockTTAS
+	oneKey[3].Scheme, oneKey[3].Lock = SchemeStandard, LockTTAS
 
-	r := NewRunner()
-	r.RunAll(grid)
-	hits, misses := r.PrefillStats()
-	if misses != 1 || hits != uint64(len(grid)-1) {
-		t.Fatalf("prefill stats = %d hits / %d misses, want %d/1", hits, misses, len(grid)-1)
+	for _, c := range []struct {
+		name    string
+		grid    []DSConfig
+		workers int
+		keys    uint64
+	}{
+		{"one-key", oneKey, 0, 1},
+		// Tree and hash under four schemes and two locks: two keys.
+		{"campaign-4-workers", benchCampaignGrid(), 4, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := NewRunner()
+			r.Workers = c.workers
+			r.Profile = fleet.NewProfile()
+			r.RunAll(c.grid)
+			hits, misses := r.PrefillStats()
+			if misses != c.keys || hits != uint64(len(c.grid))-c.keys {
+				t.Fatalf("prefill stats = %d hits / %d misses, want %d/%d",
+					hits, misses, uint64(len(c.grid))-c.keys, c.keys)
+			}
+			if jobs := r.Profile.Jobs(); jobs != uint64(len(c.grid)) {
+				t.Fatalf("fleet profile saw %d jobs, want %d", jobs, len(c.grid))
+			}
+		})
 	}
 }
 

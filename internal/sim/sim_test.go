@@ -246,3 +246,27 @@ func TestManyProcsFairProgress(t *testing.T) {
 		}
 	}
 }
+
+// TestSchedAdvanceFingerprint pins the raw scheduler workload (eight procs,
+// 50 000 Advance(10) steps each, Quantum 128) at its final virtual time.
+func TestSchedAdvanceFingerprint(t *testing.T) {
+	m := MustNew(Config{Procs: 8, Seed: 1, Quantum: 128})
+	for i := 0; i < 8; i++ {
+		m.Go(func(p *Proc) {
+			for k := 0; k < 50_000; k++ {
+				p.Advance(10)
+			}
+		})
+	}
+	if err := m.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	const want = 500_000
+	var last uint64
+	for i := 0; i < 8; i++ {
+		last = max(last, m.Proc(i).Clock())
+	}
+	if last != want {
+		t.Fatalf("final clock = %d, want %d", last, want)
+	}
+}
