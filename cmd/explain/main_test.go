@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"os"
@@ -148,5 +150,36 @@ func TestChainChronicleAndPerfetto(t *testing.T) {
 	if err := run([]string{"-chain", "t999#999"}, io.Discard); err == nil ||
 		!strings.Contains(err.Error(), "not found") {
 		t.Fatalf("missing chain error = %v, want not-found", err)
+	}
+}
+
+// TestChainGoldenDigests pins the exact bytes of the t0#0 chronicle and its
+// -perfetto export on the default lemming workload (regenerate with
+// -run TestChainGoldenDigests -v and copy the logged digests).
+func TestChainGoldenDigests(t *testing.T) {
+	const (
+		wantChronicle = "41af3cfff9c09f2687da5f3e150612a4c8a79627486841fb0345180e84ec1628"
+		wantPerfetto  = "3efe708e7f66e6604e9bc80dc42362a8e6fef930b7f46e2114b6e8b88ed9bc3f"
+	)
+	trace := filepath.Join(t.TempDir(), "chain.json")
+	var out bytes.Buffer
+	if err := run([]string{"-chain", "t0#0", "-perfetto", trace}, &out); err != nil {
+		t.Fatalf("run(-chain t0#0) = %v", err)
+	}
+	raw, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+		want string
+	}{{"chronicle", out.Bytes(), wantChronicle}, {"perfetto", raw, wantPerfetto}} {
+		sum := sha256.Sum256(c.data)
+		got := hex.EncodeToString(sum[:])
+		t.Logf("%s: %s", c.name, got)
+		if got != c.want {
+			t.Errorf("%s digest %s, want %s", c.name, got, c.want)
+		}
 	}
 }
