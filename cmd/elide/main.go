@@ -22,7 +22,6 @@ import (
 	"elision/internal/obs/causality"
 	"elision/internal/obs/flight"
 	"elision/internal/sim"
-	"elision/internal/trace"
 )
 
 // knownSchemes / knownLocks mirror the factory's accepted names so a typo is
@@ -154,10 +153,10 @@ func run(args []string) error {
 	// Attach observability sinks only when a flag asks for their output;
 	// an unobserved run produces identical virtual-time results either way.
 	var col *obs.Collector
-	var tr *trace.Tracer
+	var tr *obs.Tracer
 	var eng *causality.Engine
 	var rec *flight.Recorder
-	if *metricsOut != "" || *hotLines > 0 || *causal || *flightOn {
+	if *metricsOut != "" || *hotLines > 0 || *causal || *flightOn || *traceJSON != "" {
 		col = obs.NewCollector(string(cfg.Scheme), string(cfg.Lock), cfg.BudgetCycles/20)
 	}
 	if *causal {
@@ -167,9 +166,10 @@ func run(args []string) error {
 		rec = flight.Attach(col, flight.Config{})
 	}
 	if *traceJSON != "" {
-		tr = trace.New(0)
+		tr = obs.NewTracer()
+		col.AddObserver(tr)
 	}
-	res := harness.RunDataStructureObserved(cfg, col, tr)
+	res := harness.RunDataStructureObserved(cfg, col)
 	s := res.Stats
 
 	fmt.Printf("%s over %s, %d threads, size %d, %s, %d cycles\n",
@@ -227,6 +227,9 @@ func run(args []string) error {
 		}
 		fmt.Printf("wrote %d trace events to %s (open in ui.perfetto.dev or chrome://tracing)\n",
 			tr.Len(), *traceJSON)
+		if n := tr.Dropped(); n > 0 {
+			fmt.Printf("dropped %d trace events past the tracer's %d-event cap\n", n, tr.Len())
+		}
 	}
 	return nil
 }
@@ -253,15 +256,14 @@ func writeMetrics(path string, col *obs.Collector, hotN int, annotate func(line 
 
 // writeTrace exports the tracer's events as Chrome trace-event JSON, with
 // abort-cascade flow arrows appended when the causality engine ran.
-func writeTrace(path string, tr *trace.Tracer, eng *causality.Engine) error {
+func writeTrace(path string, tr *obs.Tracer, eng *causality.Engine) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	causeName := func(arg int64) string { return htm.Cause(arg).String() }
 	if eng != nil {
-		return obs.WriteChromeTraceFlows(f, tr.Events(), causeName, eng.FlowEvents())
+		return obs.WriteChromeTraceFlows(f, tr.Events(), eng.FlowEvents())
 	}
-	return obs.WriteChromeTrace(f, tr.Events(), causeName)
+	return obs.WriteChromeTrace(f, tr.Events())
 }

@@ -362,7 +362,7 @@ func writeTable(w io.Writer, d Document) {
 // and prints the named chain's history (optionally exporting it as a
 // Perfetto slice stack).
 func chronicle(stdout io.Writer, cfg harness.DSConfig, spec, id, perfetto string) error {
-	_, _, _, _, rec := harness.FlightRun(cfg, causality.Config{}, flight.Config{})
+	_, _, _, rec := harness.FlightRun(cfg, causality.Config{}, flight.Config{})
 	c := rec.Chain(id)
 	if c == nil {
 		return fmt.Errorf("explain: chain %q not found in %s's run (sealed %d chains, retained %d)",

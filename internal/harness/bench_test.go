@@ -93,7 +93,7 @@ func BenchmarkFlightOverhead(b *testing.B) {
 	recorded := func() {
 		col := obs.NewCollector(string(cfg.Scheme), string(cfg.Lock), 0)
 		flight.Attach(col, flight.Config{MaxChains: -1})
-		RunDataStructureObserved(cfg, col, nil)
+		RunDataStructureObserved(cfg, col)
 	}
 	unobserved() // warm up both paths
 	recorded()

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"elision/internal/htm"
 	"elision/internal/obs"
 	"elision/internal/obs/causality"
 )
@@ -92,10 +91,7 @@ func TestCausalityFlowExport(t *testing.T) {
 		t.Fatal("lemming run produced no flow events")
 	}
 	var buf bytes.Buffer
-	err := obs.WriteChromeTraceFlows(&buf, tr.Events(), func(arg int64) string {
-		return htm.Cause(arg).String()
-	}, flows)
-	if err != nil {
+	if err := obs.WriteChromeTraceFlows(&buf, tr.Events(), flows); err != nil {
 		t.Fatal(err)
 	}
 	var objs []map[string]any
@@ -142,9 +138,7 @@ func TestChromeTraceAuxRejoinSlices(t *testing.T) {
 	if res.Stats.AuxAcquires == 0 {
 		t.Fatal("SCM run never used the auxiliary lock")
 	}
-	events := obs.ChromeTraceEvents(tr.Events(), func(arg int64) string {
-		return htm.Cause(arg).String()
-	})
+	events := obs.ChromeTraceEvents(tr.Events())
 
 	type slice struct {
 		tid        int

@@ -141,7 +141,7 @@ func DiagnoseRollup(sc Scale, panel []DiagnosePoint, ccfg causality.Config, fc f
 		if ru == nil {
 			return DiagnosePointRun(cfg, ccfg)
 		}
-		res, col, _, eng, _ := FlightRun(cfg, ccfg, flight.Config{MaxChains: -1})
+		res, col, eng, _ := FlightRun(cfg, ccfg, flight.Config{MaxChains: -1})
 		ru.AddRun(col)
 		return distillDiagnosis(cfg, res, eng)
 	})

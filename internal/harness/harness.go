@@ -17,7 +17,6 @@ import (
 	"elision/internal/htm"
 	"elision/internal/locks"
 	"elision/internal/obs"
-	"elision/internal/trace"
 )
 
 // LockID selects a lock implementation.
@@ -220,17 +219,17 @@ type dataStructure interface {
 // RunDataStructure executes one benchmark point and returns its result.
 // Runs are deterministic functions of the config.
 func RunDataStructure(cfg DSConfig) Result {
-	return RunDataStructureObserved(cfg, nil, nil)
+	return RunDataStructureObserved(cfg, nil)
 }
 
 // RunDataStructureObserved is RunDataStructure with observability attached:
 // col (when non-nil) receives the run's metrics, hot lines and time series,
-// and tr (when non-nil) records the run's events for timelines and
-// Chrome-trace export. Instrumentation only reads the simulation, so an
-// observed run's virtual-time results equal the unobserved run's.
+// and feeds its observers (a Tracer records the run's events for timelines
+// and Chrome-trace export). Instrumentation only reads the simulation, so
+// an observed run's virtual-time results equal the unobserved run's.
 //
 // Each call builds a throwaway Instance; campaigns reuse pooled instances
 // via Runner / fleet instead.
-func RunDataStructureObserved(cfg DSConfig, col *obs.Collector, tr *trace.Tracer) Result {
-	return NewInstance(nil).RunObserved(cfg, col, tr)
+func RunDataStructureObserved(cfg DSConfig, col *obs.Collector) Result {
+	return NewInstance(nil).RunObserved(cfg, col)
 }

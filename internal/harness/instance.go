@@ -14,7 +14,6 @@ import (
 	"elision/internal/obs"
 	"elision/internal/rbtree"
 	"elision/internal/sim"
-	"elision/internal/trace"
 )
 
 // fillKey identifies one deterministic initial fill: the filled memory
@@ -120,7 +119,7 @@ func NewInstance(fills *FillCache) *Instance {
 
 // Run executes one benchmark point on the pooled simulator.
 func (in *Instance) Run(cfg DSConfig) Result {
-	return in.RunObserved(cfg, nil, nil)
+	return in.RunObserved(cfg, nil)
 }
 
 // Counts reports how many points built the machine from scratch vs reused
@@ -189,7 +188,7 @@ func coldFill(hm *htm.Memory, cfg DSConfig, ds dataStructure, domain uint64) {
 // RunObserved executes one benchmark point with observability attached (see
 // RunDataStructureObserved), reusing the instance's machine and memory via
 // reset-instead-of-rebuild.
-func (in *Instance) RunObserved(cfg DSConfig, col *obs.Collector, tr *trace.Tracer) Result {
+func (in *Instance) RunObserved(cfg DSConfig, col *obs.Collector) Result {
 	simCfg := sim.Config{Procs: cfg.Threads, Seed: cfg.Seed, Quantum: cfg.Quantum, Cores: cfg.Cores}
 	memCfg := htm.Config{Words: memoryWords(cfg), AbortOnDangerousWhileUnsubscribed: cfg.HWFix}
 	if in.m == nil {
@@ -205,7 +204,6 @@ func (in *Instance) RunObserved(cfg DSConfig, col *obs.Collector, tr *trace.Trac
 	}
 	m, hm := in.m, in.hm
 	hm.SetCollector(col)
-	hm.SetTracer(tr)
 
 	ds := buildStructure(hm, cfg)
 	domain := uint64(2 * cfg.Size)

@@ -7,7 +7,6 @@ import (
 
 	"elision/internal/htm"
 	"elision/internal/obs"
-	"elision/internal/trace"
 )
 
 // TestHotLineProfilerFingersLockUnderHLEMCS is the issue's first acceptance
@@ -85,18 +84,18 @@ func TestObservedRunFeedsAllSinks(t *testing.T) {
 		t.Fatalf("ops counters (%d,%d) != stats (%d,%d)", spec, nonspec, s.Spec, s.NonSpec)
 	}
 	counts := tr.Counts()
-	if got := col.Reg.Counter(obs.MetricCommits, base).Value(); got != uint64(counts[trace.TxCommit]) {
-		t.Fatalf("commit counter %d != traced commits %d", got, counts[trace.TxCommit])
+	if got := col.Reg.Counter(obs.MetricCommits, base).Value(); got != uint64(counts[obs.KindCommit]) {
+		t.Fatalf("commit counter %d != traced commits %d", got, counts[obs.KindCommit])
 	}
 	var aborts uint64
 	for c := htm.Cause(0); int(c) < htm.NumCauses; c++ {
 		aborts += col.Reg.Counter(obs.MetricAborts, base.With("cause", c.String())).Value()
 	}
-	if aborts != uint64(counts[trace.TxAbort]) {
-		t.Fatalf("abort counters %d != traced aborts %d", aborts, counts[trace.TxAbort])
+	if aborts != uint64(counts[obs.KindAbort]) {
+		t.Fatalf("abort counters %d != traced aborts %d", aborts, counts[obs.KindAbort])
 	}
-	if got := col.Reg.Histogram(obs.MetricReadSet, base.With("at", "commit")).Count(); got != uint64(counts[trace.TxCommit]) {
-		t.Fatalf("read-set histogram %d samples, want %d", got, counts[trace.TxCommit])
+	if got := col.Reg.Histogram(obs.MetricReadSet, base.With("at", "commit")).Count(); got != uint64(counts[obs.KindCommit]) {
+		t.Fatalf("read-set histogram %d samples, want %d", got, counts[obs.KindCommit])
 	}
 	if got := col.Reg.Counter(obs.MetricAuxEntries, base).Value(); got != s.AuxAcquires {
 		t.Fatalf("aux entries %d != stats %d", got, s.AuxAcquires)
@@ -150,9 +149,7 @@ func TestObservedRunChromeExport(t *testing.T) {
 	sc := TestScale()
 	_, _, tr := ObservedRun(sc.Section4Config(SchemeHLE, LockMCS))
 	var buf bytes.Buffer
-	if err := obs.WriteChromeTrace(&buf, tr.Events(), func(arg int64) string {
-		return htm.Cause(arg).String()
-	}); err != nil {
+	if err := obs.WriteChromeTrace(&buf, tr.Events()); err != nil {
 		t.Fatal(err)
 	}
 	var objs []map[string]any

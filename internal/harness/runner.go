@@ -174,7 +174,7 @@ func (r *Runner) RunAllRollup(cfgs []DSConfig, ru *rollup.Campaign) []Result {
 				// minimal.
 				flight.Attach(col, flight.Config{MaxChains: -1})
 			}
-			run[i] = r.pool[w].RunObserved(cfg, col, nil)
+			run[i] = r.pool[w].RunObserved(cfg, col)
 			ru.AddRun(col)
 		})
 		r.mu.Lock()

@@ -6,9 +6,9 @@ import (
 
 	"elision/internal/core"
 	"elision/internal/htm"
+	"elision/internal/obs"
 	"elision/internal/rbtree"
 	"elision/internal/sim"
-	"elision/internal/trace"
 )
 
 // LemmingTimeline runs the §4 workload (size-64 tree, 20% updates, max
@@ -20,8 +20,10 @@ func LemmingTimeline(sc Scale, lock LockID) string {
 	nt := sc.maxThreads()
 	m := sim.MustNew(sim.Config{Procs: nt, Seed: sc.Seed, Quantum: sc.Quantum, Cores: sc.Cores})
 	hm := htm.NewMemory(m, htm.Config{Words: 1 << 18})
-	tr := trace.New(0)
-	hm.SetTracer(tr)
+	col := obs.NewCollector(string(SchemeHLE), string(lock), 0)
+	tr := obs.NewTracer()
+	col.AddObserver(tr)
+	hm.SetCollector(col)
 	tree := rbtree.New(hm, nt)
 	raw := htm.Raw{M: hm}
 	for i := 0; i < 64; i++ {
@@ -55,7 +57,7 @@ func LemmingTimeline(sc Scale, lock LockID) string {
 	// Center the window on the first lock acquisition.
 	var trigger uint64
 	for _, e := range tr.Events() {
-		if e.Kind == trace.LockAcquire {
+		if e.Kind == obs.KindLockAcquire {
 			trigger = e.When
 			break
 		}
@@ -70,7 +72,7 @@ func LemmingTimeline(sc Scale, lock LockID) string {
 	fmt.Fprintf(&sb, "HLE-%s, %d threads, size-64 tree, 20%% updates — first lock acquisition at t=%d\n",
 		lock, nt, trigger)
 	fmt.Fprintf(&sb, "totals: %d begins, %d commits, %d aborts, %d lock acquisitions\n",
-		counts[trace.TxBegin], counts[trace.TxCommit], counts[trace.TxAbort], counts[trace.LockAcquire])
+		counts[obs.KindTxBegin], counts[obs.KindCommit], counts[obs.KindAbort], counts[obs.KindLockAcquire])
 	tr.Timeline(&sb, nt, from, from+span, 100)
 	return sb.String()
 }

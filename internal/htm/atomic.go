@@ -3,7 +3,6 @@ package htm
 import (
 	"elision/internal/obs"
 	"elision/internal/sim"
-	"elision/internal/trace"
 )
 
 // Atomic executes body as a hardware transaction on proc p and returns its
@@ -20,7 +19,6 @@ func (m *Memory) Atomic(p *sim.Proc, body func(tx *Tx)) Status {
 	}
 
 	p.Advance(m.cost.TxBegin)
-	m.tracer.Emit(p.Clock(), p.ID(), trace.TxBegin, 0)
 	m.col.TxBegin(p.Clock(), p.ID())
 	tx := &m.txs[p.ID()]
 	tx.reset(p, m)
@@ -43,7 +41,6 @@ func (m *Memory) Atomic(p *sim.Proc, body func(tx *Tx)) Status {
 			st = ab.st
 			tx.cleanup()
 			p.Advance(m.cost.TxAbort)
-			m.tracer.Emit(p.Clock(), p.ID(), trace.TxAbort, int64(st.Cause))
 			// cleanup leaves the dense sets' member lists intact, so the
 			// collector sees the sizes reached before the abort — and, for
 			// conflicts, the full causality payload: the line, the aborter,
@@ -64,7 +61,6 @@ func (m *Memory) Atomic(p *sim.Proc, body func(tx *Tx)) Status {
 		}()
 		body(tx)
 		st = tx.commit()
-		m.tracer.Emit(p.Clock(), p.ID(), trace.TxCommit, 0)
 		m.col.TxCommit(p.Clock(), p.ID(), tx.readSet.size(), tx.writeSet.size())
 	}()
 	m.cur[p.ID()] = nil

@@ -37,7 +37,6 @@ import (
 	"elision/internal/mem"
 	"elision/internal/obs"
 	"elision/internal/sim"
-	"elision/internal/trace"
 )
 
 // Cause classifies why a transaction aborted, mirroring the TSX abort
@@ -185,7 +184,6 @@ type Memory struct {
 	maxRead  int
 	maxWrite int
 	policy   Policy
-	tracer   *trace.Tracer  // nil when tracing is off
 	col      *obs.Collector // nil when observability is off
 
 	// Subscription-state machinery for the lazy-subscription hardware fix.
@@ -258,7 +256,7 @@ func NewMemory(m *sim.Machine, cfg Config) *Memory {
 // Reset returns the Memory to the state NewMemory(mach, cfg) would produce,
 // reusing the store's backing arrays, the conflict metadata and the pooled
 // per-proc transaction state where the new geometry allows. Any attached
-// collector or tracer is detached (as on a fresh Memory). Like
+// collector is detached (as on a fresh Memory). Like
 // sim.Machine.Reset, it must only be called between runs, and a reset
 // Memory behaves bit-for-bit like a freshly constructed one.
 func (m *Memory) Reset(mach *sim.Machine, cfg Config) {
@@ -288,7 +286,6 @@ func (m *Memory) Reset(mach *sim.Machine, cfg Config) {
 	if len(m.txs) < procs {
 		m.txs = append(m.txs, make([]Tx, procs-len(m.txs))...)
 	}
-	m.tracer = nil
 	m.col = nil
 	m.fixDangerous = cfg.AbortOnDangerousWhileUnsubscribed
 	m.subTracking = false
@@ -300,12 +297,6 @@ func (m *Memory) Reset(mach *sim.Machine, cfg Config) {
 // Store exposes the raw word store (for setup code and allocators).
 func (m *Memory) Store() *mem.Store { return m.store }
 
-// SetTracer attaches an event tracer (nil turns tracing off).
-func (m *Memory) SetTracer(t *trace.Tracer) { m.tracer = t }
-
-// Tracer returns the attached tracer, possibly nil.
-func (m *Memory) Tracer() *trace.Tracer { return m.tracer }
-
 // SetCollector attaches a metrics collector fed by every commit and abort:
 // abort causes, read/write-set sizes, and the conflicting cache line for
 // the hot-line profiler (nil turns observability off).
@@ -313,6 +304,15 @@ func (m *Memory) SetCollector(c *obs.Collector) { m.col = c }
 
 // Collector returns the attached collector, possibly nil.
 func (m *Memory) Collector() *obs.Collector { return m.col }
+
+// SetTracer adds t to the attached collector's observers; nil is a no-op.
+//
+// Deprecated: attach the tracer with Collector.AddObserver.
+func (m *Memory) SetTracer(t *obs.Tracer) {
+	if t != nil {
+		m.col.AddObserver(t)
+	}
+}
 
 // TraceLockWait records the start of a blocking main-lock acquisition —
 // schemes call this immediately before Lock on their fallback paths, so the
@@ -339,14 +339,12 @@ func (m *Memory) TraceLock(p *sim.Proc) {
 		m.holderReads.grow(m.store.Lines())
 		m.holderReads.clear()
 	}
-	m.tracer.Emit(p.Clock(), p.ID(), trace.LockAcquire, 0)
 	m.col.LockAcquired(p.Clock(), p.ID())
 }
 
 // TraceUnlock records the matching release.
 func (m *Memory) TraceUnlock(p *sim.Proc) {
 	m.fbHolder = -1
-	m.tracer.Emit(p.Clock(), p.ID(), trace.LockRelease, 0)
 	m.col.LockReleased(p.Clock(), p.ID())
 }
 
@@ -354,13 +352,11 @@ func (m *Memory) TraceUnlock(p *sim.Proc) {
 // entry). SCM schemes call it at the instant their aux dwell starts, so the
 // traced slice duration equals Outcome.AuxDwell.
 func (m *Memory) TraceAuxLock(p *sim.Proc) {
-	m.tracer.Emit(p.Clock(), p.ID(), trace.AuxAcquire, 0)
 	m.col.AuxAcquired(p.Clock(), p.ID())
 }
 
 // TraceAuxUnlock records the matching auxiliary release (dwell end).
 func (m *Memory) TraceAuxUnlock(p *sim.Proc) {
-	m.tracer.Emit(p.Clock(), p.ID(), trace.AuxRelease, 0)
 	m.col.AuxReleased(p.Clock(), p.ID())
 }
 

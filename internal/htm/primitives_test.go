@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"elision/internal/obs"
 	"elision/internal/sim"
-	"elision/internal/trace"
 )
 
 // TestNTRMWPrimitives covers CASNT/SwapNT/FetchAddNT semantics directly.
@@ -156,14 +156,17 @@ func TestCostAccessor(t *testing.T) {
 
 func TestTracerAccessorsAndEvents(t *testing.T) {
 	m, hm := newTestMachine(t, 1)
-	tr := trace.New(0)
-	hm.SetTracer(tr)
-	if hm.Tracer() != tr {
-		t.Fatal("Tracer() does not round-trip")
+	col := obs.NewCollector("", "", 0)
+	tr := obs.NewTracer()
+	col.AddObserver(tr)
+	hm.SetCollector(col)
+	if hm.Collector() != col {
+		t.Fatal("Collector() does not round-trip")
 	}
 	m.Go(func(p *sim.Proc) {
 		hm.Atomic(p, func(tx *Tx) { tx.Store(hm.Store().AllocLines(1), 1) })
 		hm.Atomic(p, func(tx *Tx) { tx.Abort(1) })
+		hm.TraceLockWait(p) // intent, not ownership: the tracer skips it
 		hm.TraceLock(p)
 		hm.TraceUnlock(p)
 	})
@@ -171,8 +174,8 @@ func TestTracerAccessorsAndEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := tr.Counts()
-	if c[trace.TxBegin] != 2 || c[trace.TxCommit] != 1 || c[trace.TxAbort] != 1 ||
-		c[trace.LockAcquire] != 1 || c[trace.LockRelease] != 1 {
+	if c[obs.KindTxBegin] != 2 || c[obs.KindCommit] != 1 || c[obs.KindAbort] != 1 ||
+		c[obs.KindLockAcquire] != 1 || c[obs.KindLockRelease] != 1 || c[obs.KindLockWait] != 0 {
 		t.Fatalf("trace counts = %v", c)
 	}
 }

@@ -29,7 +29,7 @@
 // grow; with TTAS or SLR they stay shallow.
 //
 // Invariants: the engine is fed from the collector on the simulated
-// machine's single runner goroutine, so like trace.Tracer it is plain
+// machine's single runner goroutine, so like obs.Tracer it is plain
 // unsynchronized state and its output is a deterministic function of the
 // machine seed. Attaching it never perturbs the simulation (the observer
 // only reads event payloads).

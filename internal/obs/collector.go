@@ -1,6 +1,9 @@
 package obs
 
-import "io"
+import (
+	"fmt"
+	"io"
+)
 
 // Metric names fed by the instrumented layers. Counters and histograms
 // carry the collector's base labels (scheme, lock) plus the extra
@@ -91,6 +94,76 @@ type LockEvent struct {
 	Wait bool
 }
 
+// Kind classifies one event of the feed. The flight recorder and the
+// swimlane Tracer both record events by kind.
+type Kind uint8
+
+// Event kinds, in the order the feed produces them within an attempt.
+const (
+	// KindTxBegin marks a speculative attempt's start.
+	KindTxBegin Kind = iota + 1
+	// KindCommit marks a speculative attempt's commit.
+	KindCommit
+	// KindAbort marks a speculative attempt's abort.
+	KindAbort
+	// KindLockWait / KindLockAcquire / KindLockRelease are the fallback
+	// main-lock phases: wait begins, lock held, lock released.
+	KindLockWait
+	KindLockAcquire
+	KindLockRelease
+	// KindAuxWait / KindAuxAcquire / KindAuxRelease are the SCM
+	// auxiliary-lock phases.
+	KindAuxWait
+	KindAuxAcquire
+	KindAuxRelease
+)
+
+// String implements fmt.Stringer (the flight recorder's chronicle prints
+// these names).
+func (k Kind) String() string {
+	switch k {
+	case KindTxBegin:
+		return "tx-begin"
+	case KindCommit:
+		return "commit"
+	case KindAbort:
+		return "abort"
+	case KindLockWait:
+		return "lock-wait"
+	case KindLockAcquire:
+		return "lock-acquire"
+	case KindLockRelease:
+		return "lock-release"
+	case KindAuxWait:
+		return "aux-wait"
+	case KindAuxAcquire:
+		return "aux-acquire"
+	case KindAuxRelease:
+		return "aux-release"
+	default:
+		return fmt.Sprintf("kind(%d)", int(k))
+	}
+}
+
+// Kind classifies the transition: a wait, acquire or release of the main
+// or the auxiliary lock.
+func (ev LockEvent) Kind() Kind {
+	switch {
+	case ev.Wait && ev.Aux:
+		return KindAuxWait
+	case ev.Wait:
+		return KindLockWait
+	case ev.Aux && ev.Release:
+		return KindAuxRelease
+	case ev.Aux:
+		return KindAuxAcquire
+	case ev.Release:
+		return KindLockRelease
+	default:
+		return KindLockAcquire
+	}
+}
+
 // TxObserver receives the collector's raw per-event feed — the hook the
 // abort-causality engine (obs/causality) attaches to. Calls follow the
 // simulator's single-runner invariant: they arrive serialized and in
@@ -161,8 +234,8 @@ type OpDetailObserver interface {
 
 // Collector bundles the observability sinks one instrumented run feeds: the
 // registry, the conflict hot-line profiler and the windowed time series.
-// A nil *Collector is a valid no-op sink, mirroring *trace.Tracer, so the
-// htm and core hot paths pay a single nil check when observability is off.
+// A nil *Collector is a valid no-op sink, so the htm and core hot paths pay
+// a single nil check when observability is off.
 type Collector struct {
 	// Reg is the metrics registry.
 	Reg *Registry

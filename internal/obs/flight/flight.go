@@ -43,64 +43,14 @@ import (
 	"elision/internal/obs"
 )
 
-// Kind classifies one recorded event.
-type Kind uint8
-
-// Event kinds, in the order the feed produces them within an attempt.
-const (
-	// KindTxBegin marks a speculative attempt's start.
-	KindTxBegin Kind = iota + 1
-	// KindCommit marks a speculative attempt's commit.
-	KindCommit
-	// KindAbort marks a speculative attempt's abort; Class carries the
-	// adaptive-policy abort class.
-	KindAbort
-	// KindLockWait / KindLockAcquire / KindLockRelease are the fallback
-	// main-lock phases: wait begins, lock held, lock released.
-	KindLockWait
-	KindLockAcquire
-	KindLockRelease
-	// KindAuxWait / KindAuxAcquire / KindAuxRelease are the SCM
-	// auxiliary-lock phases.
-	KindAuxWait
-	KindAuxAcquire
-	KindAuxRelease
-)
-
-// String implements fmt.Stringer (chronicle rendering).
-func (k Kind) String() string {
-	switch k {
-	case KindTxBegin:
-		return "tx-begin"
-	case KindCommit:
-		return "commit"
-	case KindAbort:
-		return "abort"
-	case KindLockWait:
-		return "lock-wait"
-	case KindLockAcquire:
-		return "lock-acquire"
-	case KindLockRelease:
-		return "lock-release"
-	case KindAuxWait:
-		return "aux-wait"
-	case KindAuxAcquire:
-		return "aux-acquire"
-	case KindAuxRelease:
-		return "aux-release"
-	default:
-		return fmt.Sprintf("kind(%d)", int(k))
-	}
-}
-
 // Event is one compact flight-recorder record: 16 bytes, appended to the
 // owning thread's buffer in its own virtual-time order.
 type Event struct {
 	// When is the owning proc's virtual time.
 	When uint64
 	// Kind classifies the event.
-	Kind Kind
-	// Class is the abort class (KindAbort only; ClassNone otherwise).
+	Kind obs.Kind
+	// Class is the abort class (obs.KindAbort only; ClassNone otherwise).
 	Class core.AbortClass
 }
 
@@ -320,37 +270,22 @@ func (r *Recorder) record(tid int, ev Event) {
 
 // ObserveTxBegin implements obs.AttemptObserver.
 func (r *Recorder) ObserveTxBegin(when uint64, tid int) {
-	r.record(tid, Event{When: when, Kind: KindTxBegin, Class: core.ClassNone})
+	r.record(tid, Event{When: when, Kind: obs.KindTxBegin, Class: core.ClassNone})
 }
 
 // ObserveCommit implements obs.TxObserver.
 func (r *Recorder) ObserveCommit(when uint64, tid int) {
-	r.record(tid, Event{When: when, Kind: KindCommit, Class: core.ClassNone})
+	r.record(tid, Event{When: when, Kind: obs.KindCommit, Class: core.ClassNone})
 }
 
 // ObserveAbort implements obs.TxObserver.
 func (r *Recorder) ObserveAbort(ev obs.AbortEvent) {
-	r.record(ev.Tid, Event{When: ev.When, Kind: KindAbort, Class: classify(ev.Cause, ev.Code)})
+	r.record(ev.Tid, Event{When: ev.When, Kind: obs.KindAbort, Class: classify(ev.Cause, ev.Code)})
 }
 
 // ObserveLock implements obs.TxObserver.
 func (r *Recorder) ObserveLock(ev obs.LockEvent) {
-	var k Kind
-	switch {
-	case ev.Wait && ev.Aux:
-		k = KindAuxWait
-	case ev.Wait:
-		k = KindLockWait
-	case ev.Aux && ev.Release:
-		k = KindAuxRelease
-	case ev.Aux:
-		k = KindAuxAcquire
-	case ev.Release:
-		k = KindLockRelease
-	default:
-		k = KindLockAcquire
-	}
-	r.record(ev.Tid, Event{When: ev.When, Kind: k, Class: core.ClassNone})
+	r.record(ev.Tid, Event{When: ev.When, Kind: ev.Kind(), Class: core.ClassNone})
 }
 
 // ObserveOp implements obs.TxObserver (the chain seals on the richer
@@ -432,14 +367,14 @@ func (r *Recorder) account(c *Chain, events []Event, acct *[numBuckets]uint64) {
 	}
 	for _, ev := range events {
 		switch ev.Kind {
-		case KindTxBegin:
+		case obs.KindTxBegin:
 			txStart, txOpen = ev.When, true
-		case KindCommit:
+		case obs.KindCommit:
 			if txOpen {
 				add(bucketCommit, ev.When-txStart)
 				txOpen = false
 			}
-		case KindAbort:
+		case obs.KindAbort:
 			if txOpen {
 				cl := ev.Class
 				if cl < 0 || int(cl) >= core.NumAbortClasses {
@@ -449,29 +384,29 @@ func (r *Recorder) account(c *Chain, events []Event, acct *[numBuckets]uint64) {
 				r.abortsByClass[cl]++
 				txOpen = false
 			}
-		case KindLockWait:
+		case obs.KindLockWait:
 			waitStart, waitOpen = ev.When, true
-		case KindLockAcquire:
+		case obs.KindLockAcquire:
 			if waitOpen {
 				add(lockWaitBucket, ev.When-waitStart)
 				waitOpen = false
 			}
 			holdStart, holdOpen = ev.When, true
-		case KindLockRelease:
+		case obs.KindLockRelease:
 			if holdOpen {
 				add(lockDwellBucket, ev.When-holdStart)
 				holdOpen = false
 			}
-		case KindAuxWait:
+		case obs.KindAuxWait:
 			auxWaitStart, auxWaitOpen = ev.When, true
-		case KindAuxAcquire:
+		case obs.KindAuxAcquire:
 			if auxWaitOpen {
 				add(bucketAuxWait, ev.When-auxWaitStart)
 				auxWaitOpen = false
 			}
 			// The auxiliary dwell overlaps speculative attempts by design;
 			// it is already accounted by cs_aux_dwell_cycles.
-		case KindAuxRelease:
+		case obs.KindAuxRelease:
 		}
 	}
 	if span := c.Span(); span > attributed {
@@ -568,7 +503,7 @@ func (r *Recorder) WriteChronicle(w io.Writer, c *Chain) {
 	}
 	for _, ev := range c.Events {
 		cls := ""
-		if ev.Kind == KindAbort {
+		if ev.Kind == obs.KindAbort {
 			cls = " class=" + ev.Class.String()
 		}
 		fmt.Fprintf(w, "  +%-8d %s%s\n", ev.When-c.Start, ev.Kind, cls)
@@ -614,16 +549,16 @@ func ChromeTraceEvents(c *Chain) []obs.TraceEvent {
 	attempt := 0
 	for _, ev := range c.Events {
 		switch ev.Kind {
-		case KindTxBegin:
+		case obs.KindTxBegin:
 			attempt++
 			b(ev.When, fmt.Sprintf("attempt %d", attempt), nil)
 			txOpen = true
-		case KindCommit:
+		case obs.KindCommit:
 			if txOpen {
 				e(ev.When)
 				txOpen = false
 			}
-		case KindAbort:
+		case obs.KindAbort:
 			if txOpen {
 				e(ev.When)
 				txOpen = false
@@ -632,30 +567,30 @@ func ChromeTraceEvents(c *Chain) []obs.TraceEvent {
 				Name: "abort " + ev.Class.String(), Ph: "i", Ts: ev.When,
 				Pid: 0, Tid: c.Tid, Scope: "t",
 			})
-		case KindLockWait:
+		case obs.KindLockWait:
 			b(ev.When, "lock-wait", nil)
 			lockOpen = true
-		case KindLockAcquire:
+		case obs.KindLockAcquire:
 			if lockOpen {
 				e(ev.When)
 			}
 			b(ev.When, "lock-held", nil)
 			lockOpen = true
-		case KindLockRelease:
+		case obs.KindLockRelease:
 			if lockOpen {
 				e(ev.When)
 				lockOpen = false
 			}
-		case KindAuxWait:
+		case obs.KindAuxWait:
 			b(ev.When, "aux-wait", nil)
 			auxOpen = true
-		case KindAuxAcquire:
+		case obs.KindAuxAcquire:
 			if auxOpen {
 				e(ev.When)
 			}
 			b(ev.When, "aux-held", nil)
 			auxOpen = true
-		case KindAuxRelease:
+		case obs.KindAuxRelease:
 			if auxOpen {
 				e(ev.When)
 				auxOpen = false

@@ -5,8 +5,6 @@ import (
 	"io"
 	"sort"
 	"strconv"
-
-	"elision/internal/trace"
 )
 
 // TraceEvent is one Chrome trace-event object — the JSON Array Format that
@@ -30,16 +28,14 @@ type TraceEvent struct {
 	BP string `json:"bp,omitempty"`
 }
 
-// ChromeTraceEvents converts recorded simulator events into Chrome
-// trace-event objects: transactions and lock-held spans become B/E duration
-// pairs per simulated thread, aborts additionally become thread-scoped
-// instant markers, and each thread gets a metadata name record. causeName,
-// when non-nil, renders a TxAbort's Arg (the abort-cause code) for the
-// abort markers; nil leaves the numeric code.
-func ChromeTraceEvents(events []trace.Event, causeName func(arg int64) string) []TraceEvent {
+// ChromeTraceEvents converts a Tracer's events into Chrome trace-event
+// objects: transactions and lock-held spans become B/E duration pairs per
+// simulated thread, aborts additionally become thread-scoped instant
+// markers carrying their cause, and each thread gets a metadata name record.
+func ChromeTraceEvents(events []Event) []TraceEvent {
 	// Sort a copy by time (stable, so same-cycle events keep emit order);
 	// Chrome's importer requires nondecreasing ts within each (pid, tid).
-	evs := make([]trace.Event, len(events))
+	evs := make([]Event, len(events))
 	copy(evs, events)
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].When < evs[j].When })
 
@@ -72,31 +68,27 @@ func ChromeTraceEvents(events []trace.Event, causeName func(arg int64) string) [
 		}
 		seen[e.Proc] = true
 		switch e.Kind {
-		case trace.TxBegin:
+		case KindTxBegin:
 			push(e.Proc, e.When, "tx")
-		case trace.TxCommit:
+		case KindCommit:
 			if !pop(e.Proc, e.When, "tx", map[string]any{"outcome": "commit"}) {
 				out = append(out, TraceEvent{Name: "commit", Ph: "i", Ts: e.When, Pid: 0, Tid: e.Proc, Scope: "t"})
 			}
-		case trace.TxAbort:
-			cause := any(e.Arg)
-			if causeName != nil {
-				cause = causeName(e.Arg)
-			}
-			pop(e.Proc, e.When, "tx", map[string]any{"outcome": "abort", "cause": cause})
+		case KindAbort:
+			pop(e.Proc, e.When, "tx", map[string]any{"outcome": "abort", "cause": e.Cause})
 			out = append(out, TraceEvent{
 				Name: "abort", Ph: "i", Ts: e.When, Pid: 0, Tid: e.Proc,
-				Scope: "t", Args: map[string]any{"cause": cause},
+				Scope: "t", Args: map[string]any{"cause": e.Cause},
 			})
-		case trace.LockAcquire:
+		case KindLockAcquire:
 			push(e.Proc, e.When, "lock")
-		case trace.LockRelease:
+		case KindLockRelease:
 			if !pop(e.Proc, e.When, "lock", nil) {
 				out = append(out, TraceEvent{Name: "unlock", Ph: "i", Ts: e.When, Pid: 0, Tid: e.Proc, Scope: "t"})
 			}
-		case trace.AuxAcquire:
+		case KindAuxAcquire:
 			push(e.Proc, e.When, "aux")
-		case trace.AuxRelease:
+		case KindAuxRelease:
 			if !pop(e.Proc, e.When, "aux", nil) {
 				out = append(out, TraceEvent{Name: "aux-unlock", Ph: "i", Ts: e.When, Pid: 0, Tid: e.Proc, Scope: "t"})
 			}
@@ -129,17 +121,17 @@ func ChromeTraceEvents(events []trace.Event, causeName func(arg int64) string) [
 }
 
 // WriteChromeTrace writes the events as a Chrome trace-event JSON array.
-func WriteChromeTrace(w io.Writer, events []trace.Event, causeName func(arg int64) string) error {
+func WriteChromeTrace(w io.Writer, events []Event) error {
 	enc := json.NewEncoder(w)
-	return enc.Encode(ChromeTraceEvents(events, causeName))
+	return enc.Encode(ChromeTraceEvents(events))
 }
 
 // WriteChromeTraceFlows writes the events as a Chrome trace-event JSON array
 // with extra pre-built events (typically abort-causality flow arrows from
 // causality.FlowEvents) appended, so cascades render as arrows from the
 // aborter's slice to the victim's aborting transaction.
-func WriteChromeTraceFlows(w io.Writer, events []trace.Event, causeName func(arg int64) string, extra []TraceEvent) error {
-	all := ChromeTraceEvents(events, causeName)
+func WriteChromeTraceFlows(w io.Writer, events []Event, extra []TraceEvent) error {
+	all := ChromeTraceEvents(events)
 	all = append(all, extra...)
 	enc := json.NewEncoder(w)
 	return enc.Encode(all)

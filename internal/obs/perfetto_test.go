@@ -5,21 +5,19 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-
-	"elision/internal/trace"
 )
 
 // sampleEvents is a small run: proc 0 commits a tx, proc 1 aborts one and
 // then takes the lock, proc 2 has a tx still open when the trace ends.
-func sampleEvents() []trace.Event {
-	return []trace.Event{
-		{When: 10, Proc: 0, Kind: trace.TxBegin},
-		{When: 30, Proc: 1, Kind: trace.TxBegin},
-		{When: 40, Proc: 0, Kind: trace.TxCommit},
-		{When: 50, Proc: 1, Kind: trace.TxAbort, Arg: 1},
-		{When: 60, Proc: 1, Kind: trace.LockAcquire},
-		{When: 90, Proc: 1, Kind: trace.LockRelease},
-		{When: 95, Proc: 2, Kind: trace.TxBegin},
+func sampleEvents() []Event {
+	return []Event{
+		{When: 10, Proc: 0, Kind: KindTxBegin},
+		{When: 30, Proc: 1, Kind: KindTxBegin},
+		{When: 40, Proc: 0, Kind: KindCommit},
+		{When: 50, Proc: 1, Kind: KindAbort, Cause: "conflict"},
+		{When: 60, Proc: 1, Kind: KindLockAcquire},
+		{When: 90, Proc: 1, Kind: KindLockRelease},
+		{When: 95, Proc: 2, Kind: KindTxBegin},
 	}
 }
 
@@ -28,7 +26,7 @@ func sampleEvents() []trace.Event {
 // ph, ts, pid and tid.
 func TestChromeTraceSchema(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, sampleEvents(), nil); err != nil {
+	if err := WriteChromeTrace(&buf, sampleEvents()); err != nil {
 		t.Fatal(err)
 	}
 	var objs []map[string]any
@@ -61,7 +59,7 @@ func TestChromeTraceSchema(t *testing.T) {
 // TestChromeTraceSpansBalanced checks every B has a matching E per thread,
 // including the tx still open at the end of the trace.
 func TestChromeTraceSpansBalanced(t *testing.T) {
-	evs := ChromeTraceEvents(sampleEvents(), func(arg int64) string { return "conflict" })
+	evs := ChromeTraceEvents(sampleEvents())
 	depth := map[int]int{}
 	for _, e := range evs {
 		switch e.Ph {
@@ -92,7 +90,7 @@ func TestChromeTraceSpansBalanced(t *testing.T) {
 }
 
 func TestChromeTraceAbortMarkerAndCauseNames(t *testing.T) {
-	evs := ChromeTraceEvents(sampleEvents(), func(arg int64) string { return "cause-" + string(rune('0'+arg)) })
+	evs := ChromeTraceEvents(sampleEvents())
 	var marker *TraceEvent
 	for i := range evs {
 		if evs[i].Name == "abort" && evs[i].Ph == "i" {
@@ -102,13 +100,13 @@ func TestChromeTraceAbortMarkerAndCauseNames(t *testing.T) {
 	if marker == nil {
 		t.Fatal("no abort instant marker")
 	}
-	if marker.Scope != "t" || marker.Args["cause"] != "cause-1" {
+	if marker.Scope != "t" || marker.Args["cause"] != "conflict" {
 		t.Fatalf("abort marker = %+v", *marker)
 	}
 }
 
 func TestChromeTraceThreadNames(t *testing.T) {
-	evs := ChromeTraceEvents(sampleEvents(), nil)
+	evs := ChromeTraceEvents(sampleEvents())
 	names := map[int]string{}
 	for _, e := range evs {
 		if e.Ph == "M" && e.Name == "thread_name" {
@@ -124,7 +122,7 @@ func TestChromeTraceThreadNames(t *testing.T) {
 
 func TestChromeTraceEmptyInput(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, nil, nil); err != nil {
+	if err := WriteChromeTrace(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	var objs []map[string]any

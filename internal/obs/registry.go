@@ -1,12 +1,13 @@
 // Package obs is the simulator's observability layer: a metrics registry
 // (counters, gauges and log-scale histograms keyed by scheme/lock labels),
 // a conflict hot-line profiler that attributes aborts to cache lines, a
-// windowed time-series recorder, and exporters (text/CSV dumps plus
-// Chrome/Perfetto trace-event JSON built from internal/trace events).
+// windowed time-series recorder, a swimlane event tracer, and exporters
+// (text/CSV dumps plus Chrome/Perfetto trace-event JSON built from the
+// tracer's events).
 //
 // The package sits below htm and core in the dependency order — it imports
-// only internal/trace and the standard library — so the transactional
-// memory and the execution schemes can feed it directly. All metric types
+// only the standard library — so the transactional memory and the
+// execution schemes can feed it directly. All metric types
 // are safe for concurrent use (atomic fields, a mutex only on registration
 // and aggregation paths), so instrumented runs pass the race detector even
 // when multiple simulated machines run on separate host goroutines.
