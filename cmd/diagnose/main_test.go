@@ -142,21 +142,27 @@ func TestDiagnoseWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestDiagnosePanelFilter checks -scheme/-lock restriction, including a
-// point outside the default panel.
+// TestDiagnosePanelFilter checks -scheme/-lock restriction, including
+// points outside the default panel: every registry name is accepted and
+// yields exactly one verdict row.
 func TestDiagnosePanelFilter(t *testing.T) {
-	_, verdict := runToFiles(t, "-scheme", "slr-scm", "-lock", "mcs")
-	var d struct {
-		Runs []struct {
-			Scheme string `json:"scheme"`
-			Lock   string `json:"lock"`
+	for _, p := range [][2]string{{"slr-scm", "mcs"}, {"hle", "ttas-backoff"}} {
+		human, verdict := runToFiles(t, "-scheme", p[0], "-lock", p[1])
+		var d struct {
+			Runs []struct {
+				Scheme string `json:"scheme"`
+				Lock   string `json:"lock"`
+			}
 		}
-	}
-	if err := json.Unmarshal(verdict, &d); err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Runs) != 1 || d.Runs[0].Scheme != "slr-scm" || d.Runs[0].Lock != "mcs" {
-		t.Fatalf("filtered runs = %+v, want exactly slr-scm/mcs", d.Runs)
+		if err := json.Unmarshal(verdict, &d); err != nil {
+			t.Fatal(err)
+		}
+		if len(d.Runs) != 1 || d.Runs[0].Scheme != p[0] || d.Runs[0].Lock != p[1] {
+			t.Fatalf("filtered runs = %+v, want exactly %s/%s", d.Runs, p[0], p[1])
+		}
+		if n := bytes.Count(human, []byte(": "+p[0]+" over "+p[1]+",")); n != 1 {
+			t.Fatalf("human output has %d verdicts for %s over %s, want 1:\n%s", n, p[0], p[1], human)
+		}
 	}
 }
 

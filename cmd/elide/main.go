@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"elision/internal/core"
@@ -24,39 +25,6 @@ import (
 	"elision/internal/sim"
 )
 
-// knownSchemes / knownLocks mirror the factory's accepted names so a typo is
-// a flag error with usage, not a harness panic mid-run.
-var knownSchemes = []string{
-	core.SchemeNameNoLock, core.SchemeNameStandard, core.SchemeNameHLE,
-	core.SchemeNameHLERetries, core.SchemeNameHLESCM, core.SchemeNameOptSLR,
-	core.SchemeNameSLRSCM, core.SchemeNameHLESCMGrouped, core.SchemeNameSLRSCMGrouped,
-	core.SchemeNameAdaptiveHLE, core.SchemeNameAdaptiveSLR,
-	core.SchemeNameLazySub,
-}
-
-var knownLocks = []string{
-	core.LockNameTTAS, core.LockNameTTASBackoff, core.LockNameMCS,
-	core.LockNameTicketHLE, core.LockNameCLHHLE,
-}
-
-func knownScheme(name string) bool {
-	for _, s := range knownSchemes {
-		if s == name {
-			return true
-		}
-	}
-	return false
-}
-
-func knownLock(name string) bool {
-	for _, l := range knownLocks {
-		if l == name {
-			return true
-		}
-	}
-	return false
-}
-
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -67,8 +35,8 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("elide", flag.ContinueOnError)
 	threads := fs.Int("threads", 8, "simulated hardware threads")
-	schemeName := fs.String("scheme", "hle", "scheme: standard|hle|hle-retries|hle-scm|opt-slr|slr-scm|hle-scm-grouped|slr-scm-grouped|adaptive-hle|adaptive-slr|lazysub|nolock")
-	lockName := fs.String("lock", "ttas", "lock: ttas|ttas-backoff|mcs|ticket-hle|clh-hle")
+	schemeName := fs.String("scheme", core.SchemeNameHLE, "scheme: "+strings.Join(core.SchemeNames(), "|"))
+	lockName := fs.String("lock", core.LockNameTTAS, "lock: "+strings.Join(core.LockNames(), "|"))
 	adaptive := fs.String("adaptive", "", "adaptive-family config, retry/forfeit per abort class as conflict,busy,capacity,other (e.g. 5/2,16/5,0/8,3/3); requires -scheme adaptive-hle|adaptive-slr")
 	structure := fs.String("structure", "rbtree", "data structure: rbtree|hashtable")
 	size := fs.Int("size", 1024, "steady-state element count")
@@ -96,11 +64,12 @@ func run(args []string) error {
 		return err
 	}
 
-	if !knownScheme(*schemeName) {
-		return fmt.Errorf("elide: unknown -scheme %q (known: %s)", *schemeName, strings.Join(knownSchemes, "|"))
+	// A typo is a flag error with usage, not a harness panic mid-run.
+	if !slices.Contains(core.SchemeNames(), *schemeName) {
+		return fmt.Errorf("elide: unknown -scheme %q (known: %s)", *schemeName, strings.Join(core.SchemeNames(), "|"))
 	}
-	if !knownLock(*lockName) {
-		return fmt.Errorf("elide: unknown -lock %q (known: %s)", *lockName, strings.Join(knownLocks, "|"))
+	if !slices.Contains(core.LockNames(), *lockName) {
+		return fmt.Errorf("elide: unknown -lock %q (known: %s)", *lockName, strings.Join(core.LockNames(), "|"))
 	}
 	if *adaptive != "" {
 		if !core.AdaptiveSchemeName(*schemeName) {
@@ -120,12 +89,9 @@ func run(args []string) error {
 	if *quantum == 0 {
 		return fmt.Errorf("elide: -quantum must be > 0")
 	}
-	var mix harness.Mix
-	if _, err := fmt.Sscanf(strings.ReplaceAll(*mixFlag, ",", " "), "%d %d", &mix.InsertPct, &mix.DeletePct); err != nil {
+	mix, err := harness.ParseMix(*mixFlag)
+	if err != nil {
 		return fmt.Errorf("elide: bad -mix %q: %w", *mixFlag, err)
-	}
-	if mix.InsertPct < 0 || mix.DeletePct < 0 || mix.InsertPct+mix.DeletePct > 100 {
-		return fmt.Errorf("elide: bad -mix %q: percentages must be >= 0 and sum to at most 100", *mixFlag)
 	}
 	st := harness.StructTree
 	if *structure == "hashtable" {

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"elision/internal/core"
@@ -113,11 +114,11 @@ func main() {
 // parseSpec splits "scheme[:acfg]" and validates both halves.
 func parseSpec(spec string) (harness.SchemeID, string, error) {
 	scheme, acfg, _ := strings.Cut(spec, ":")
-	if !knownScheme(scheme) {
+	if !slices.Contains(core.SchemeNames(), scheme) {
 		return "", "", fmt.Errorf("unknown scheme %q in spec %q", scheme, spec)
 	}
 	if acfg != "" {
-		if !strings.HasPrefix(scheme, "adaptive-") {
+		if !core.AdaptiveSchemeName(scheme) {
 			return "", "", fmt.Errorf("spec %q: only the adaptive family takes an :acfg", spec)
 		}
 		if _, err := core.ParseAdaptiveConfig(acfg); err != nil {
@@ -125,21 +126,6 @@ func parseSpec(spec string) (harness.SchemeID, string, error) {
 		}
 	}
 	return harness.SchemeID(scheme), acfg, nil
-}
-
-// knownScheme checks the spec's scheme against the harness factory names.
-func knownScheme(name string) bool {
-	for _, s := range harness.AllSchemes {
-		if string(s) == name {
-			return true
-		}
-	}
-	switch harness.SchemeID(name) {
-	case harness.SchemeNoLock, harness.SchemeHLESCMGrouped, harness.SchemeSLRSCMGrouped,
-		harness.SchemeAdaptiveHLE, harness.SchemeAdaptiveSLR:
-		return true
-	}
-	return false
 }
 
 func run(args []string, stdout io.Writer) error {

@@ -32,6 +32,12 @@ func TestRejectsBadFlags(t *testing.T) {
 			t.Errorf("%s: run(%v) accepted", name, args)
 		}
 	}
+	// Every registry scheme passes spec validation: this run fails only
+	// later, at the bad -side.
+	args := []string{"-a", "lazysub", "-b", "opt-slr", "-chain", "t0#0", "-side", "c"}
+	if err := run(args, io.Discard); err == nil || !strings.Contains(err.Error(), "-side") {
+		t.Errorf("run(%v) = %v, want only the -side complaint", args, err)
+	}
 }
 
 // explainDoc is the subset of the elision-explain/v1 document the gates

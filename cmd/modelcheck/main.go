@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -59,14 +60,7 @@ func splitList(s string) []string {
 
 func validateNames(given, known []string, kind string) error {
 	for _, g := range given {
-		ok := false
-		for _, k := range known {
-			if g == k {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+		if !slices.Contains(known, g) {
 			return fmt.Errorf("modelcheck: unknown %s %q (known: %s)",
 				kind, g, strings.Join(known, ", "))
 		}

@@ -16,21 +16,20 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"elision/internal/core"
 	"elision/internal/fleet"
 	"elision/internal/harness"
+	"elision/internal/sim"
 	"elision/internal/tuner"
 )
 
-// adaptiveSchemes are the tunable family members; the fixed-policy schemes
-// have nothing to tune.
-var adaptiveSchemes = []string{core.SchemeNameAdaptiveHLE, core.SchemeNameAdaptiveSLR}
-
-var knownLocks = []string{
-	core.LockNameTTAS, core.LockNameTTASBackoff, core.LockNameMCS,
-	core.LockNameTicketHLE, core.LockNameCLHHLE,
+// tunable lists the adaptive family members in registry order; the
+// fixed-policy schemes have nothing to tune.
+func tunable() []string {
+	return slices.DeleteFunc(core.SchemeNames(), func(s string) bool { return !core.AdaptiveSchemeName(s) })
 }
 
 func main() {
@@ -42,8 +41,8 @@ func main() {
 
 func run(args []string, stdout *os.File) error {
 	fs := flag.NewFlagSet("tune", flag.ContinueOnError)
-	schemeName := fs.String("scheme", core.SchemeNameAdaptiveSLR, "adaptive family member to tune: adaptive-hle|adaptive-slr")
-	lockName := fs.String("lock", core.LockNameMCS, "lock: ttas|ttas-backoff|mcs|ticket-hle|clh-hle")
+	schemeName := fs.String("scheme", core.SchemeNameAdaptiveSLR, "adaptive family member to tune: "+strings.Join(tunable(), "|"))
+	lockName := fs.String("lock", core.LockNameMCS, "lock: "+strings.Join(core.LockNames(), "|"))
 	structure := fs.String("structure", "rbtree", "data structure: rbtree|hashtable")
 	size := fs.Int("size", 0, "steady-state element count (0 = the lemming workload's)")
 	mixFlag := fs.String("mix", "10,10", "insertPct,deletePct (rest lookups)")
@@ -72,26 +71,14 @@ func run(args []string, stdout *os.File) error {
 
 	cfg := tuner.SmokeConfig(fc)
 	if !*smoke {
-		ok := false
-		for _, s := range adaptiveSchemes {
-			if s == *schemeName {
-				ok = true
-			}
+		if !core.AdaptiveSchemeName(*schemeName) {
+			return fmt.Errorf("tune: -scheme %q is not tunable (known: %s)", *schemeName, strings.Join(tunable(), "|"))
 		}
-		if !ok {
-			return fmt.Errorf("tune: -scheme %q is not tunable (known: %s)", *schemeName, strings.Join(adaptiveSchemes, "|"))
+		if !slices.Contains(core.LockNames(), *lockName) {
+			return fmt.Errorf("tune: unknown -lock %q (known: %s)", *lockName, strings.Join(core.LockNames(), "|"))
 		}
-		known := false
-		for _, l := range knownLocks {
-			if l == *lockName {
-				known = true
-			}
-		}
-		if !known {
-			return fmt.Errorf("tune: unknown -lock %q (known: %s)", *lockName, strings.Join(knownLocks, "|"))
-		}
-		var mix harness.Mix
-		if _, err := fmt.Sscanf(strings.ReplaceAll(*mixFlag, ",", " "), "%d %d", &mix.InsertPct, &mix.DeletePct); err != nil {
+		mix, err := harness.ParseMix(*mixFlag)
+		if err != nil {
 			return fmt.Errorf("tune: bad -mix %q: %w", *mixFlag, err)
 		}
 		st := harness.StructTree
@@ -100,8 +87,8 @@ func run(args []string, stdout *os.File) error {
 		} else if *structure != "rbtree" {
 			return fmt.Errorf("tune: unknown -structure %q", *structure)
 		}
-		if *threads < 0 {
-			return fmt.Errorf("tune: -threads must be >= 1 (got %d)", *threads)
+		if *threads < 0 || *threads > sim.MaxProcs {
+			return fmt.Errorf("tune: -threads must be in [1,%d], or 0 for the workload's (got %d)", sim.MaxProcs, *threads)
 		}
 		if *size < 0 {
 			return fmt.Errorf("tune: -size must be >= 1 (got %d)", *size)

@@ -20,7 +20,9 @@ func TestRejectsBadFlags(t *testing.T) {
 		"unknown lock":      {"-lock", "mcss"},
 		"unknown structure": {"-structure", "splay"},
 		"bad mix":           {"-mix", "garbage"},
+		"mix over 100":      {"-mix", "80,80"},
 		"zero threads":      {"-threads", "-3"},
+		"too many threads":  {"-threads", "1000"},
 		"negative size":     {"-size", "-1"},
 		"zero seeds":        {"-seeds", "0"},
 		"zero candidates":   {"-candidates", "0"},

@@ -230,9 +230,9 @@ func NewAdaptive(m *htm.Memory, l locks.Elidable, mode AdaptiveMode, procs int) 
 // Name implements Scheme.
 func (s *Adaptive) Name() string {
 	if s.mode == AdaptiveOverSLR {
-		return "adaptive-slr"
+		return SchemeNameAdaptiveSLR
 	}
-	return "adaptive-hle"
+	return SchemeNameAdaptiveHLE
 }
 
 // Config returns the active config.

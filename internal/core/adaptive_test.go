@@ -205,16 +205,10 @@ func TestBuildAdaptiveSchemes(t *testing.T) {
 	m := sim.MustNew(sim.Config{Procs: 2, Seed: 1})
 	hm := htm.NewMemory(m, htm.Config{Words: 1 << 10})
 	l := locks.NewTTAS(hm)
-	for name, want := range map[string]string{
-		SchemeNameAdaptiveHLE: "adaptive-hle",
-		SchemeNameAdaptiveSLR: "adaptive-slr",
-	} {
+	for _, name := range []string{SchemeNameAdaptiveHLE, SchemeNameAdaptiveSLR} {
 		s, err := BuildScheme(hm, name, l, 2)
 		if err != nil {
 			t.Fatalf("BuildScheme(%s): %v", name, err)
-		}
-		if s.Name() != want {
-			t.Fatalf("BuildScheme(%s).Name() = %q", name, s.Name())
 		}
 		a := s.(*Adaptive)
 		if a.Config() != DefaultAdaptiveConfig() {
@@ -226,5 +220,46 @@ func TestBuildAdaptiveSchemes(t *testing.T) {
 	}
 	if !AdaptiveSchemeName(SchemeNameAdaptiveHLE) || AdaptiveSchemeName(SchemeNameOptSLR) {
 		t.Fatal("AdaptiveSchemeName misclassifies")
+	}
+}
+
+// TestRegistryRoundTrip ties every registered name to the object its
+// factory builds: each lock and scheme must report its registry name from
+// Name(). The locks package cannot import core, so this is the check that
+// keeps locks.*.Name() and the registry in step.
+func TestRegistryRoundTrip(t *testing.T) {
+	m := sim.MustNew(sim.Config{Procs: 2, Seed: 1})
+	hm := htm.NewMemory(m, htm.Config{Words: 1 << 12})
+	for _, name := range LockNames() {
+		l, err := BuildLock(hm, name, 2)
+		if err != nil {
+			t.Fatalf("BuildLock(%s): %v", name, err)
+		}
+		if l.Name() != name {
+			t.Errorf("BuildLock(%s).Name() = %q", name, l.Name())
+		}
+	}
+	l := locks.NewTTAS(hm)
+	for _, name := range SchemeNames() {
+		s, err := BuildScheme(hm, name, l, 2)
+		if err != nil {
+			t.Fatalf("BuildScheme(%s): %v", name, err)
+		}
+		if s.Name() != name {
+			t.Errorf("BuildScheme(%s).Name() = %q", name, s.Name())
+		}
+	}
+	if _, err := BuildLock(hm, "mcss", 2); err == nil {
+		t.Error("BuildLock accepted an unknown name")
+	}
+	if _, err := BuildScheme(hm, "hlee", l, 2); err == nil {
+		t.Error("BuildScheme accepted an unknown name")
+	}
+	seen := map[string]bool{}
+	for _, name := range append(LockNames(), SchemeNames()...) {
+		if seen[name] {
+			t.Errorf("name %q is registered twice", name)
+		}
+		seen[name] = true
 	}
 }

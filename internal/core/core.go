@@ -115,7 +115,7 @@ var _ Scheme = (*NoLock)(nil)
 func NewNoLock(m *htm.Memory) *NoLock { return &NoLock{m: m} }
 
 // Name implements Scheme.
-func (s *NoLock) Name() string { return "nolock" }
+func (s *NoLock) Name() string { return SchemeNameNoLock }
 
 // Critical implements Scheme.
 func (s *NoLock) Critical(p *sim.Proc, body func(c htm.Ctx)) Outcome {
@@ -139,7 +139,7 @@ func NewStandard(m *htm.Memory, l locks.Lock) *Standard {
 }
 
 // Name implements Scheme.
-func (s *Standard) Name() string { return "standard" }
+func (s *Standard) Name() string { return SchemeNameStandard }
 
 // Critical implements Scheme.
 func (s *Standard) Critical(p *sim.Proc, body func(c htm.Ctx)) Outcome {
@@ -182,9 +182,9 @@ func NewHLERetries(m *htm.Memory, l locks.Elidable, retries int) *HLE {
 // Name implements Scheme.
 func (s *HLE) Name() string {
 	if s.SpecRetries > 0 {
-		return "hle-retries"
+		return SchemeNameHLERetries
 	}
-	return "hle"
+	return SchemeNameHLE
 }
 
 // attempt runs one speculative HLE execution of the body.
@@ -286,7 +286,7 @@ func NewSLR(m *htm.Memory, l locks.Lock) *SLR {
 }
 
 // Name implements Scheme.
-func (s *SLR) Name() string { return "opt-slr" }
+func (s *SLR) Name() string { return SchemeNameOptSLR }
 
 // Critical implements Scheme.
 func (s *SLR) Critical(p *sim.Proc, body func(c htm.Ctx)) Outcome {
@@ -365,9 +365,9 @@ func NewSCM(m *htm.Memory, main, aux locks.Lock, mode SCMMode) *SCM {
 // Name implements Scheme.
 func (s *SCM) Name() string {
 	if s.mode == SCMOverSLR {
-		return "slr-scm"
+		return SchemeNameSLRSCM
 	}
-	return "hle-scm"
+	return SchemeNameHLESCM
 }
 
 // attempt runs one speculative execution under the chosen inner mode.

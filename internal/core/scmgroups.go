@@ -46,9 +46,9 @@ func NewGroupedSCM(m *htm.Memory, main locks.Lock, mode SCMMode, groups, procs i
 // Name implements Scheme.
 func (s *GroupedSCM) Name() string {
 	if s.mode == SCMOverSLR {
-		return "slr-scm-grouped"
+		return SchemeNameSLRSCMGrouped
 	}
-	return "hle-scm-grouped"
+	return SchemeNameHLESCMGrouped
 }
 
 // group maps an abort status to the auxiliary lock that serializes its

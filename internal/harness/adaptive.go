@@ -2,6 +2,8 @@ package harness
 
 import (
 	"fmt"
+
+	"elision/internal/core"
 )
 
 // adaptiveFrontierSchemes orders the frontier comparison: the fixed-policy
@@ -21,7 +23,7 @@ func AdaptiveFrontier(r *Runner, sc Scale, acfg string) []Table {
 	locks := []LockID{LockTTAS, LockMCS}
 	point := func(scheme SchemeID, lock LockID) DSConfig {
 		cfg := sc.Section4Config(scheme, lock)
-		if scheme == SchemeAdaptiveHLE || scheme == SchemeAdaptiveSLR {
+		if core.AdaptiveSchemeName(string(scheme)) {
 			cfg.ACfg = acfg
 		}
 		return cfg

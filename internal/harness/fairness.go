@@ -39,7 +39,7 @@ func FairnessComparison(sc Scale) []Table {
 func runFairness(sc Scale, threads int, schemeID SchemeID) (jain, minMax float64, worstLatency uint64, tput float64) {
 	m := sim.MustNew(sim.Config{Procs: threads, Seed: sc.Seed, Quantum: sc.Quantum, Cores: sc.Cores})
 	hm := htm.NewMemory(m, htm.Config{Words: 1 << 18})
-	l, err := core.BuildLock(hm, core.LockNameMCS, threads)
+	l, err := core.BuildLock(hm, string(LockMCS), threads)
 	if err != nil {
 		panic(err)
 	}

@@ -11,7 +11,9 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 
 	"elision/internal/core"
 	"elision/internal/htm"
@@ -19,45 +21,45 @@ import (
 	"elision/internal/obs"
 )
 
-// LockID selects a lock implementation.
+// LockID selects a lock implementation; its values are core registry names.
 type LockID string
 
 // Lock identifiers.
 const (
-	LockTTAS      LockID = "ttas"
-	LockMCS       LockID = "mcs"
-	LockTicketHLE LockID = "ticket-hle"
-	LockCLHHLE    LockID = "clh-hle"
+	LockTTAS      LockID = core.LockNameTTAS
+	LockMCS       LockID = core.LockNameMCS
+	LockTicketHLE LockID = core.LockNameTicketHLE
+	LockCLHHLE    LockID = core.LockNameCLHHLE
 )
 
-// SchemeID selects an execution scheme.
+// SchemeID selects an execution scheme; its values are core registry names.
 type SchemeID string
 
 // Scheme identifiers (§7's six schemes plus the no-locking baseline).
 const (
-	SchemeNoLock     SchemeID = "nolock"
-	SchemeStandard   SchemeID = "standard"
-	SchemeHLE        SchemeID = "hle"
-	SchemeHLERetries SchemeID = "hle-retries"
-	SchemeHLESCM     SchemeID = "hle-scm"
-	SchemeOptSLR     SchemeID = "opt-slr"
-	SchemeSLRSCM     SchemeID = "slr-scm"
+	SchemeNoLock     SchemeID = core.SchemeNameNoLock
+	SchemeStandard   SchemeID = core.SchemeNameStandard
+	SchemeHLE        SchemeID = core.SchemeNameHLE
+	SchemeHLERetries SchemeID = core.SchemeNameHLERetries
+	SchemeHLESCM     SchemeID = core.SchemeNameHLESCM
+	SchemeOptSLR     SchemeID = core.SchemeNameOptSLR
+	SchemeSLRSCM     SchemeID = core.SchemeNameSLRSCM
 	// SchemeHLESCMGrouped is the §6-Remark extension: SCM with per-conflict-
 	// location auxiliary lock groups.
-	SchemeHLESCMGrouped SchemeID = "hle-scm-grouped"
+	SchemeHLESCMGrouped SchemeID = core.SchemeNameHLESCMGrouped
 	// SchemeSLRSCMGrouped is grouped SCM over SLR attempts.
-	SchemeSLRSCMGrouped SchemeID = "slr-scm-grouped"
+	SchemeSLRSCMGrouped SchemeID = core.SchemeNameSLRSCMGrouped
 	// SchemeAdaptiveHLE / SchemeAdaptiveSLR are the ck_elide-style adaptive
 	// family: per-abort-class retry budgets with forfeit windows, configured
 	// per point via DSConfig.ACfg.
-	SchemeAdaptiveHLE SchemeID = "adaptive-hle"
-	SchemeAdaptiveSLR SchemeID = "adaptive-slr"
+	SchemeAdaptiveHLE SchemeID = core.SchemeNameAdaptiveHLE
+	SchemeAdaptiveSLR SchemeID = core.SchemeNameAdaptiveSLR
 	// SchemeLazySub is the deliberately unsafe lazy-subscription scheme
 	// (core.LazySub): SLR with an escaped, non-subscribing commit-time lock
 	// check. It exists as the modelcheck adversary and is excluded from
 	// AllSchemes (figures measure correct schemes); pair it with
 	// DSConfig.HWFix to benchmark the hardware fix's cost.
-	SchemeLazySub SchemeID = "lazysub"
+	SchemeLazySub SchemeID = core.SchemeNameLazySub
 )
 
 // AllSchemes is §7's evaluation order.
@@ -93,6 +95,20 @@ func (x Mix) Name() string {
 	default:
 		return fmt.Sprintf("%d%%ins/%d%%del", x.InsertPct, x.DeletePct)
 	}
+}
+
+// ParseMix parses an "insertPct,deletePct" flag value (the rest of the
+// operations are lookups). Both percentages must be >= 0 and sum to at most
+// 100.
+func ParseMix(s string) (Mix, error) {
+	var x Mix
+	if _, err := fmt.Sscanf(strings.ReplaceAll(s, ",", " "), "%d %d", &x.InsertPct, &x.DeletePct); err != nil {
+		return Mix{}, err
+	}
+	if x.InsertPct < 0 || x.DeletePct < 0 || x.InsertPct+x.DeletePct > 100 {
+		return Mix{}, errors.New("percentages must be >= 0 and sum to at most 100")
+	}
+	return x, nil
 }
 
 // Structure selects the benchmark data structure.

@@ -171,6 +171,19 @@ func TestMixNames(t *testing.T) {
 	}
 }
 
+func TestParseMix(t *testing.T) {
+	for in, want := range map[string]Mix{"10,10": MixModerate, "0,0": MixLookupOnly, "50,50": MixExtensive, "5,3": {5, 3}} {
+		if got, err := ParseMix(in); err != nil || got != want {
+			t.Errorf("ParseMix(%q) = %+v, %v; want %+v", in, got, err, want)
+		}
+	}
+	for _, bad := range []string{"garbage", "10", "60,60", "80,80", "-10,0", "0,-1"} {
+		if got, err := ParseMix(bad); err == nil {
+			t.Errorf("ParseMix(%q) = %+v, want an error", bad, got)
+		}
+	}
+}
+
 func TestThroughputZeroCycles(t *testing.T) {
 	if (Result{}).Throughput() != 0 {
 		t.Fatal("Throughput on empty result must be 0")

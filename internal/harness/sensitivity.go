@@ -31,8 +31,8 @@ func CostSensitivity(sc Scale) []Table {
 		var speed [2]float64
 		var nonspec [2]float64
 		for i, lock := range benchLocks {
-			hle := runCostPoint(sc, nt, lock, core.SchemeNameHLE, cost)
-			std := runCostPoint(sc, nt, lock, core.SchemeNameStandard, cost)
+			hle := runCostPoint(sc, nt, lock, SchemeHLE, cost)
+			std := runCostPoint(sc, nt, lock, SchemeStandard, cost)
 			speed[i] = ratio(hle.tput, std.tput)
 			nonspec[i] = hle.nonspec
 		}
@@ -49,7 +49,7 @@ type costPoint struct {
 
 // runCostPoint runs the canonical tree point under an explicit cost model
 // (outside the Runner cache, which is keyed for the default model).
-func runCostPoint(sc Scale, threads int, lock LockID, scheme string, cost sim.CostModel) costPoint {
+func runCostPoint(sc Scale, threads int, lock LockID, scheme SchemeID, cost sim.CostModel) costPoint {
 	m := sim.MustNew(sim.Config{Procs: threads, Seed: sc.Seed, Quantum: sc.Quantum, Cores: sc.Cores})
 	hm := htm.NewMemory(m, htm.Config{Words: 1 << 18, Cost: cost})
 	tree := rbtree.New(hm, threads)
@@ -61,7 +61,7 @@ func runCostPoint(sc Scale, threads int, lock LockID, scheme string, cost sim.Co
 	if err != nil {
 		panic(err)
 	}
-	s, err := core.BuildScheme(hm, scheme, l, threads)
+	s, err := core.BuildScheme(hm, string(scheme), l, threads)
 	if err != nil {
 		panic(err)
 	}

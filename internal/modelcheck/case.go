@@ -21,6 +21,7 @@ package modelcheck
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -268,22 +269,15 @@ func GenCase(scheme, lock string, seed uint64) Case {
 	return c
 }
 
-// RealSchemes lists every thread-safe scheme the factory builds (nolock is
-// excluded: it is the single-thread baseline, not a synchronization scheme).
+// RealSchemes lists every thread-safe scheme the factory builds, in
+// registry order (nolock is excluded: it is the single-thread baseline, not
+// a synchronization scheme). The order is load-bearing: comboSeed keys on
+// grid index, so new schemes join the registry at the end and every pinned
+// case survives the roster growth. lazysub runs under the expected-fail
+// profile unless Case.HWFix is set.
 func RealSchemes() []string {
-	return []string{
-		"standard", "hle", "hle-retries", "hle-scm",
-		"opt-slr", "slr-scm", "hle-scm-grouped", "slr-scm-grouped",
-		"adaptive-hle", "adaptive-slr",
-		// lazysub is appended last so existing combos keep their grid index
-		// (comboSeed streams, and therefore every pinned case, survive the
-		// roster growth). It runs under the expected-fail profile unless
-		// Case.HWFix is set.
-		"lazysub",
-	}
+	return slices.DeleteFunc(core.SchemeNames(), func(s string) bool { return s == core.SchemeNameNoLock })
 }
 
-// RealLocks lists every lock the factory builds.
-func RealLocks() []string {
-	return []string{"ttas", "ttas-backoff", "mcs", "ticket-hle", "clh-hle"}
-}
+// RealLocks lists every lock the factory builds, in registry order.
+func RealLocks() []string { return core.LockNames() }

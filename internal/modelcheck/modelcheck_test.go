@@ -3,9 +3,28 @@ package modelcheck
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 )
+
+// TestRosterOrder pins the campaign roster exactly. comboSeed keys each
+// combination's seed stream on its grid index, so reordering (or inserting
+// before the end of) either list would silently move every pinned case; a
+// new scheme or lock joins the registry at the end.
+func TestRosterOrder(t *testing.T) {
+	wantSchemes := []string{
+		"standard", "hle", "hle-retries", "hle-scm", "opt-slr", "slr-scm",
+		"hle-scm-grouped", "slr-scm-grouped", "adaptive-hle", "adaptive-slr", "lazysub",
+	}
+	if got := RealSchemes(); !slices.Equal(got, wantSchemes) {
+		t.Errorf("RealSchemes() = %v, want %v", got, wantSchemes)
+	}
+	wantLocks := []string{"ttas", "ttas-backoff", "mcs", "ticket-hle", "clh-hle"}
+	if got := RealLocks(); !slices.Equal(got, wantLocks) {
+		t.Errorf("RealLocks() = %v, want %v", got, wantLocks)
+	}
+}
 
 // TestReproRoundTrip pins the reproducer string format: every generated
 // case must survive Repro -> ParseRepro unchanged, including the mutant

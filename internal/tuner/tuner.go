@@ -78,7 +78,7 @@ func (cfg Config) withDefaults() Config {
 // Validate rejects configs the tuner cannot honor.
 func (cfg Config) Validate() error {
 	c := cfg.withDefaults()
-	if c.Scheme != harness.SchemeAdaptiveHLE && c.Scheme != harness.SchemeAdaptiveSLR {
+	if !core.AdaptiveSchemeName(string(c.Scheme)) {
 		return fmt.Errorf("tuner: scheme %q is not in the adaptive family", c.Scheme)
 	}
 	if cfg.Candidates < 0 {
