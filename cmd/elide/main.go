@@ -115,6 +115,9 @@ func run(args []string) error {
 	if *smt {
 		cfg.Cores = 4
 	}
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("elide: %w", err)
+	}
 
 	// Attach observability sinks only when a flag asks for their output;
 	// an unobserved run produces identical virtual-time results either way.

@@ -143,40 +143,47 @@ func (h *History) verify(seed func(Event) map[int64]int64, byObj bool) error {
 			model = seed(e)
 			models[obj] = model
 		}
-		where := fmt.Sprintf("event %d (t=%d proc=%d)", i, e.When, e.Proc)
-		if byObj {
-			where = fmt.Sprintf("event %d (t=%d proc=%d obj=%d)", i, e.When, e.Proc, e.Obj)
-		}
 		switch e.Op {
 		case OpInsert:
 			_, existed := model[e.Key]
 			if e.Found == existed {
-				return h.errf("check: %s insert(%d): reported new=%v but model says existed=%v",
-					where, e.Key, e.Found, existed)
+				return h.diverged(i, e, byObj, "insert(%d): reported new=%v but model says existed=%v",
+					e.Key, e.Found, existed)
 			}
 			model[e.Key] = e.Val
 		case OpDelete:
 			_, existed := model[e.Key]
 			if e.Found != existed {
-				return h.errf("check: %s delete(%d): reported present=%v but model says %v",
-					where, e.Key, e.Found, existed)
+				return h.diverged(i, e, byObj, "delete(%d): reported present=%v but model says %v",
+					e.Key, e.Found, existed)
 			}
 			delete(model, e.Key)
 		case OpLookup:
 			v, existed := model[e.Key]
 			if e.Found != existed {
-				return h.errf("check: %s lookup(%d): reported present=%v but model says %v",
-					where, e.Key, e.Found, existed)
+				return h.diverged(i, e, byObj, "lookup(%d): reported present=%v but model says %v",
+					e.Key, e.Found, existed)
 			}
 			if existed && e.Got != v {
-				return h.errf("check: %s lookup(%d): returned %d but model holds %d",
-					where, e.Key, e.Got, v)
+				return h.diverged(i, e, byObj, "lookup(%d): returned %d but model holds %d",
+					e.Key, e.Got, v)
 			}
 		default:
-			return h.errf("check: %s has unknown kind %v", where, e.Op)
+			return h.diverged(i, e, byObj, "has unknown kind %v", e.Op)
 		}
 	}
 	return nil
+}
+
+// diverged formats the error for the i'th replayed event, e. The event's
+// position is rendered only here, on the failure path: replaying a passing
+// history formats nothing.
+func (h *History) diverged(i int, e Event, byObj bool, format string, args ...any) error {
+	where := fmt.Sprintf("event %d (t=%d proc=%d)", i, e.When, e.Proc)
+	if byObj {
+		where = fmt.Sprintf("event %d (t=%d proc=%d obj=%d)", i, e.When, e.Proc, e.Obj)
+	}
+	return h.errf("check: %s "+format, append([]any{where}, args...)...)
 }
 
 // Final returns the model state after replaying the full history (for

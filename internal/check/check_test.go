@@ -212,3 +212,29 @@ func TestVerifyErrorIncludesRepro(t *testing.T) {
 		t.Fatalf("repro suffix leaked into plain error: %v", err2)
 	}
 }
+
+// TestErrorStringsPinned pins the exact divergence text of Verify and
+// VerifyObjects: violation details flow verbatim into model-checker
+// campaign JSON, so any change to them changes pinned artifacts.
+func TestErrorStringsPinned(t *testing.T) {
+	var h History
+	h.SetRepro("r1")
+	h.Record(Event{When: 3, Proc: 0, Op: OpLookup, Key: 5, Found: true, Got: 7})
+	h.Record(Event{When: 2, Proc: 1, Op: OpInsert, Key: 5, Val: 50, Found: true})
+	var objs History
+	objs.Record(Event{When: 4, Proc: 2, Obj: 1, Op: OpDelete, Key: 9, Found: true})
+	var bad History
+	bad.Record(Event{When: 1, Op: Kind(9)})
+	for _, c := range []struct {
+		err  error
+		want string
+	}{
+		{h.Verify(nil), "check: event 1 (t=3 proc=0) lookup(5): returned 7 but model holds 50 [repro r1]"},
+		{objs.VerifyObjects(nil), "check: event 0 (t=4 proc=2 obj=1) delete(9): reported present=true but model says false"},
+		{bad.Verify(nil), "check: event 0 (t=1 proc=0) has unknown kind kind(9)"},
+	} {
+		if c.err == nil || c.err.Error() != c.want {
+			t.Errorf("got %v\nwant %s", c.err, c.want)
+		}
+	}
+}

@@ -13,12 +13,14 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"elision/internal/core"
 	"elision/internal/htm"
 	"elision/internal/locks"
 	"elision/internal/obs"
+	"elision/internal/sim"
 )
 
 // LockID selects a lock implementation; its values are core registry names.
@@ -146,6 +148,41 @@ type DSConfig struct {
 	// under it (its speculative attempts abort and the lock path carries the
 	// load); correct schemes never take a dangerous action.
 	HWFix bool
+}
+
+// Validate reports the first field of the point the harness cannot run:
+// an unknown structure, scheme or lock, a thread count the simulator
+// rejects, a negative size or core count, an impossible mix, or an ACfg
+// that does not parse or is set on a non-adaptive scheme. Callers taking
+// points from user input check it first; Instance.Run panics on a point
+// that fails it.
+func (c DSConfig) Validate() error {
+	switch {
+	case c.Structure != StructTree && c.Structure != StructHash:
+		return fmt.Errorf("harness: unknown structure %q (known: %s, %s)", c.Structure, StructTree, StructHash)
+	case !slices.Contains(core.SchemeNames(), string(c.Scheme)):
+		return fmt.Errorf("harness: unknown scheme %q (known: %s)", c.Scheme, strings.Join(core.SchemeNames(), ", "))
+	case !slices.Contains(core.LockNames(), string(c.Lock)):
+		return fmt.Errorf("harness: unknown lock %q (known: %s)", c.Lock, strings.Join(core.LockNames(), ", "))
+	case c.Threads < 1 || c.Threads > sim.MaxProcs:
+		return fmt.Errorf("harness: threads must be in [1,%d], got %d", sim.MaxProcs, c.Threads)
+	case c.Size < 0:
+		return fmt.Errorf("harness: size must be >= 0, got %d", c.Size)
+	case c.Cores < 0:
+		return fmt.Errorf("harness: cores must be >= 0, got %d", c.Cores)
+	case c.Mix.InsertPct < 0 || c.Mix.DeletePct < 0 || c.Mix.InsertPct+c.Mix.DeletePct > 100:
+		return fmt.Errorf("harness: mix %d,%d: percentages must be >= 0 and sum to at most 100",
+			c.Mix.InsertPct, c.Mix.DeletePct)
+	}
+	if c.ACfg != "" {
+		if !core.AdaptiveSchemeName(string(c.Scheme)) {
+			return fmt.Errorf("harness: ACfg %q set on non-adaptive scheme %s", c.ACfg, c.Scheme)
+		}
+		if _, err := core.ParseAdaptiveConfig(c.ACfg); err != nil {
+			return fmt.Errorf("harness: ACfg %q: %w", c.ACfg, err)
+		}
+	}
+	return nil
 }
 
 // Slot is one time-slot sample for Figure 3.

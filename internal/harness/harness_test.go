@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -188,4 +189,51 @@ func TestThroughputZeroCycles(t *testing.T) {
 	if (Result{}).Throughput() != 0 {
 		t.Fatal("Throughput on empty result must be 0")
 	}
+}
+
+// TestDSConfigValidate: every bad input the harness cannot run is an error
+// from Validate, and a Runner fan-out panics on the caller's goroutine,
+// before any worker starts, instead of deep inside a worker.
+func TestDSConfigValidate(t *testing.T) {
+	good := DSConfig{
+		Structure: StructTree, Threads: 4, Size: 64, Mix: MixModerate,
+		Scheme: SchemeAdaptiveSLR, Lock: LockMCS, BudgetCycles: 10_000,
+		Seed: 1, Quantum: 64, ACfg: "5/2,16/5,0/8,3/3",
+	}
+	if err := good.Validate(); err != nil {
+		t.Fatalf("good config rejected: %v", err)
+	}
+	for name, mut := range map[string]func(*DSConfig){
+		"unknown structure":     func(c *DSConfig) { c.Structure = "skiplist" },
+		"empty structure":       func(c *DSConfig) { c.Structure = "" },
+		"unknown scheme":        func(c *DSConfig) { c.Scheme = "hle-scmm" },
+		"unknown lock":          func(c *DSConfig) { c.Lock = "mcss" },
+		"zero threads":          func(c *DSConfig) { c.Threads = 0 },
+		"too many threads":      func(c *DSConfig) { c.Threads = 65 },
+		"negative size":         func(c *DSConfig) { c.Size = -1 },
+		"negative cores":        func(c *DSConfig) { c.Cores = -1 },
+		"negative mix":          func(c *DSConfig) { c.Mix = Mix{-1, 10} },
+		"mix over 100":          func(c *DSConfig) { c.Mix = Mix{80, 30} },
+		"ACfg on non-adaptive":  func(c *DSConfig) { c.Scheme = SchemeOptSLR },
+		"malformed ACfg":        func(c *DSConfig) { c.ACfg = "5/2,16/5" },
+		"zero-length forfeit":   func(c *DSConfig) { c.ACfg = "5/0,1/1,1/1,1/1" },
+		"ACfg on lazysub":       func(c *DSConfig) { c.Scheme = SchemeLazySub },
+		"unknown scheme no cfg": func(c *DSConfig) { c.Scheme, c.ACfg = "adaptive", "" },
+	} {
+		c := good
+		mut(&c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s accepted: %+v", name, c)
+		}
+	}
+
+	bad := good
+	bad.Lock = "mcss"
+	defer func() {
+		r := recover()
+		if r == nil || !strings.Contains(fmt.Sprint(r), `unknown lock "mcss"`) {
+			t.Fatalf("RunAll on a bad point: recovered %v, want an unknown-lock panic", r)
+		}
+	}()
+	NewRunner().RunAll([]DSConfig{good, bad})
 }

@@ -103,12 +103,10 @@ func (fc *FillCache) finish(key fillKey, e *fillEntry, img *fillImage) {
 //
 // An Instance is not safe for concurrent use; each worker needs its own.
 type Instance struct {
-	m     *sim.Machine
-	hm    *htm.Memory
+	// hw is the pooled machine and memory; its build and reset counts are
+	// the instance's pooling efficiency, surfaced by Runner.Metrics.
+	hw    htm.Pair
 	fills *FillCache // nil disables snapshot sharing
-	// builds counts full machine constructions, resets reuses — together the
-	// instance's pooling efficiency, surfaced by Runner.Metrics.
-	builds, resets uint64
 }
 
 // NewInstance returns an empty instance drawing prefill snapshots from
@@ -126,7 +124,7 @@ func (in *Instance) Run(cfg DSConfig) Result {
 // it via reset — the instance's pooling efficiency. Call only between runs
 // (an Instance is single-owner).
 func (in *Instance) Counts() (builds, resets uint64) {
-	return in.builds, in.resets
+	return in.hw.Builds, in.hw.Resets
 }
 
 // buildStructure constructs the benchmark container. Allocation order is
@@ -146,8 +144,9 @@ func buildStructure(hm *htm.Memory, cfg DSConfig) dataStructure {
 // fill-key, otherwise by a cold fill whose image it captures for the next
 // point.
 func (in *Instance) prefill(cfg DSConfig, ds dataStructure, domain uint64) {
+	hm := in.hw.Memory
 	if in.fills == nil {
-		coldFill(in.hm, cfg, ds, domain)
+		coldFill(hm, cfg, ds, domain)
 		return
 	}
 	key := fillKey{cfg.Structure, cfg.Threads, cfg.Size, cfg.Seed}
@@ -157,15 +156,15 @@ func (in *Instance) prefill(cfg DSConfig, ds dataStructure, domain uint64) {
 			var img *fillImage
 			// Release the entry even if the fill panics, so waiters wake.
 			defer func() { in.fills.finish(key, e, img) }()
-			coldFill(in.hm, cfg, ds, domain)
-			words, brk := in.hm.Store().Snapshot()
+			coldFill(hm, cfg, ds, domain)
+			words, brk := hm.Store().Snapshot()
 			img = &fillImage{words: words, brk: brk}
 			in.fills.miss.Add(1)
 			return
 		}
 		<-e.ready
 		if e.img != nil {
-			in.hm.Store().Restore(e.img.words, e.img.brk)
+			hm.Store().Restore(e.img.words, e.img.brk)
 			in.fills.hits.Add(1)
 			return
 		}
@@ -187,22 +186,18 @@ func coldFill(hm *htm.Memory, cfg DSConfig, ds dataStructure, domain uint64) {
 
 // RunObserved executes one benchmark point with observability attached (see
 // RunDataStructureObserved), reusing the instance's machine and memory via
-// reset-instead-of-rebuild.
+// reset-instead-of-rebuild. cfg must pass Validate: a bad point is a
+// caller bug and panics before the instance is touched.
 func (in *Instance) RunObserved(cfg DSConfig, col *obs.Collector) Result {
+	if err := cfg.Validate(); err != nil {
+		panic(fmt.Sprintf("harness: %v (config %+v)", err, cfg))
+	}
 	simCfg := sim.Config{Procs: cfg.Threads, Seed: cfg.Seed, Quantum: cfg.Quantum, Cores: cfg.Cores}
 	memCfg := htm.Config{Words: memoryWords(cfg), AbortOnDangerousWhileUnsubscribed: cfg.HWFix}
-	if in.m == nil {
-		in.m = sim.MustNew(simCfg)
-		in.hm = htm.NewMemory(in.m, memCfg)
-		in.builds++
-	} else {
-		if err := in.m.Reset(simCfg); err != nil {
-			panic(fmt.Sprintf("harness: %v (config %+v)", err, cfg))
-		}
-		in.hm.Reset(in.m, memCfg)
-		in.resets++
+	if err := in.hw.Prepare(simCfg, memCfg); err != nil {
+		panic(fmt.Sprintf("harness: %v (config %+v)", err, cfg))
 	}
-	m, hm := in.m, in.hm
+	m, hm := in.hw.Machine, in.hw.Memory
 	hm.SetCollector(col)
 
 	ds := buildStructure(hm, cfg)
@@ -215,15 +210,9 @@ func (in *Instance) RunObserved(cfg DSConfig, col *obs.Collector) Result {
 	l := buildLock(hm, cfg.Lock, cfg.Threads)
 	inner := buildScheme(hm, cfg.Scheme, l, cfg.Threads)
 	if cfg.ACfg != "" {
-		a, ok := inner.(*core.Adaptive)
-		if !ok {
-			panic(fmt.Sprintf("harness: ACfg %q set on non-adaptive scheme %s", cfg.ACfg, cfg.Scheme))
-		}
-		acfg, err := core.ParseAdaptiveConfig(cfg.ACfg)
-		if err != nil {
-			panic(fmt.Sprintf("harness: %v (config %+v)", err, cfg))
-		}
-		if err := a.SetConfig(acfg); err != nil {
+		// Validate has parsed ACfg and checked the scheme is adaptive.
+		acfg, _ := core.ParseAdaptiveConfig(cfg.ACfg)
+		if err := inner.(*core.Adaptive).SetConfig(acfg); err != nil {
 			panic(fmt.Sprintf("harness: %v (config %+v)", err, cfg))
 		}
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"sync"
 
 	"elision/internal/fleet"
@@ -96,6 +97,7 @@ func (r *Runner) RunAll(cfgs []DSConfig) []Result {
 	r.mu.Unlock()
 
 	if len(todo) > 0 {
+		mustValidate(todo)
 		fc := r.fleetConfig()
 		for len(r.pool) < fc.WorkerCount(len(todo)) {
 			r.pool = append(r.pool, NewInstance(r.fills))
@@ -118,6 +120,17 @@ func (r *Runner) RunAll(cfgs []DSConfig) []Result {
 	}
 	r.mu.Unlock()
 	return out
+}
+
+// mustValidate panics at the first point failing Validate. Fan-outs call it
+// on the caller's goroutine before any fleet worker starts: the same panic
+// inside a worker would take the process down unrecoverably.
+func mustValidate(cfgs []DSConfig) {
+	for _, c := range cfgs {
+		if err := c.Validate(); err != nil {
+			panic(fmt.Sprintf("harness: %v (config %+v)", err, c))
+		}
+	}
 }
 
 // CachedConfigs returns every config the runner has computed so far, in
@@ -159,6 +172,7 @@ func (r *Runner) RunAllRollup(cfgs []DSConfig, ru *rollup.Campaign) []Result {
 
 	results := make(map[DSConfig]Result, len(todo))
 	if len(todo) > 0 {
+		mustValidate(todo)
 		fc := r.fleetConfig()
 		for len(r.pool) < fc.WorkerCount(len(todo)) {
 			r.pool = append(r.pool, NewInstance(r.fills))

@@ -174,8 +174,10 @@ type Config struct {
 // Memory is simulated transactional shared memory for one machine.
 type Memory struct {
 	store *mem.Store
-	meta  []lineMeta
-	cur   []*Tx // current transaction per proc id, nil when not in one
+	// meta is the per-line state, materialized up to the highest line any
+	// access has touched (see line); the backing array beyond it is zero.
+	meta []lineMeta
+	cur  []*Tx // current transaction per proc id, nil when not in one
 	// txs is the per-proc transaction pool: flat nesting means a proc runs
 	// at most one transaction at a time, so its Tx (dense sets, write
 	// buffer, elision list) is recycled across transactions and retries.
@@ -204,13 +206,34 @@ type Memory struct {
 // lineMeta is the per-cache-line state. readers/writer track transactional
 // read and write sets for conflict detection; sharers/owner track a MESI-ish
 // caching state used only for the cost model (who pays a hit vs a miss).
+// Proc ids are stored plus one, so the zero value is a line nobody holds:
+// building and scrubbing the table is a plain memclr.
 type lineMeta struct {
 	readers uint64
-	writer  int16 // proc id, or -1
 	// sharers is the set of procs holding the line (shared state).
 	sharers uint64
-	// owner is the proc holding the line exclusively after a write, or -1.
+	writer  int16 // proc id + 1, or 0 for none
+	// owner is the proc holding the line exclusively after a write, plus
+	// one, or 0 for none.
 	owner int16
+}
+
+// writerID returns the proc holding the line in its write set, or -1.
+func (lm *lineMeta) writerID() int { return int(lm.writer) - 1 }
+
+// line returns line l's metadata, materializing the table up to l. A line
+// past the memory's end panics with an index error, as before any access.
+func (m *Memory) line(l int) *lineMeta {
+	if l >= len(m.meta) {
+		n := min(l+1, m.store.Lines())
+		if n > cap(m.meta) {
+			grown := make([]lineMeta, n, min(m.store.Lines(), max(n, 2*cap(m.meta), 128)))
+			copy(grown, m.meta)
+			m.meta = grown
+		}
+		m.meta = m.meta[:n]
+	}
+	return &m.meta[l]
 }
 
 // resolve applies the Config defaults.
@@ -234,14 +257,8 @@ func (cfg Config) resolve() (cost sim.CostModel, maxRead, maxWrite int) {
 func NewMemory(m *sim.Machine, cfg Config) *Memory {
 	cost, maxRead, maxWrite := cfg.resolve()
 	store := mem.NewStore(cfg.Words)
-	meta := make([]lineMeta, store.Lines())
-	for i := range meta {
-		meta[i].writer = -1
-		meta[i].owner = -1
-	}
 	return &Memory{
 		store:        store,
-		meta:         meta,
 		cur:          make([]*Tx, m.Procs()),
 		txs:          make([]Tx, m.Procs()),
 		cost:         cost,
@@ -259,19 +276,16 @@ func NewMemory(m *sim.Machine, cfg Config) *Memory {
 // collector is detached (as on a fresh Memory). Like
 // sim.Machine.Reset, it must only be called between runs, and a reset
 // Memory behaves bit-for-bit like a freshly constructed one.
+//
+// Like the store, the per-line metadata is materialized only up to the
+// highest line accessed, so the reset costs O(lines the last run touched),
+// not O(capacity).
 func (m *Memory) Reset(mach *sim.Machine, cfg Config) {
 	m.cost, m.maxRead, m.maxWrite = cfg.resolve()
 	m.policy = cfg.Policy
 	m.store.Reset(cfg.Words)
-	lines := m.store.Lines()
-	if cap(m.meta) >= lines {
-		m.meta = m.meta[:lines]
-	} else {
-		m.meta = make([]lineMeta, lines)
-	}
-	for i := range m.meta {
-		m.meta[i] = lineMeta{writer: -1, owner: -1}
-	}
+	clear(m.meta)
+	m.meta = m.meta[:0]
 	procs := mach.Procs()
 	if cap(m.cur) >= procs {
 		m.cur = m.cur[:procs]
@@ -336,7 +350,6 @@ func (m *Memory) TraceAuxWait(p *sim.Proc) {
 func (m *Memory) TraceLock(p *sim.Proc) {
 	m.fbHolder = p.ID()
 	if m.fixDangerous {
-		m.holderReads.grow(m.store.Lines())
 		m.holderReads.clear()
 	}
 	m.col.LockAcquired(p.Clock(), p.ID())
@@ -368,7 +381,6 @@ func (m *Memory) TraceAuxUnlock(p *sim.Proc) {
 // Registering an empty slice disables tracking. The registration survives
 // until the next SetSubscriptionLines or Reset.
 func (m *Memory) SetSubscriptionLines(lines []int) {
-	m.subLines.grow(m.store.Lines())
 	m.subLines.clear()
 	for _, l := range lines {
 		if !m.subLines.has(l) {
@@ -411,7 +423,7 @@ func (m *Memory) assertNotInTx(p *sim.Proc) {
 // chargeRead advances p's clock by a hit or miss depending on whether p has
 // the line cached, and records p as a sharer.
 func (m *Memory) chargeRead(p *sim.Proc, l int) {
-	lm := &m.meta[l]
+	lm := m.line(l)
 	me := uint64(1) << p.ID()
 	if lm.sharers&me != 0 {
 		p.Advance(m.cost.MemHit)
@@ -424,10 +436,10 @@ func (m *Memory) chargeRead(p *sim.Proc, l int) {
 // chargeWrite advances p's clock by a hit or miss and takes the line
 // exclusive: every other thread's next access will miss.
 func (m *Memory) chargeWrite(p *sim.Proc, l int) {
-	lm := &m.meta[l]
+	lm := m.line(l)
 	me := uint64(1) << p.ID()
-	hit := lm.owner == int16(p.ID()) && lm.sharers == me
-	lm.owner = int16(p.ID())
+	hit := int(lm.owner)-1 == p.ID() && lm.sharers == me
+	lm.owner = int16(p.ID() + 1)
 	lm.sharers = me
 	if hit {
 		p.Advance(m.cost.MemHit)
@@ -552,18 +564,17 @@ func (m *Memory) WaitPred(p *sim.Proc, watch []mem.Addr, pred func() bool) {
 
 // doomForRead dooms the transaction (if any) holding line l in its write set.
 func (m *Memory) doomForRead(p *sim.Proc, l int) {
-	lm := &m.meta[l]
-	if lm.writer >= 0 && int(lm.writer) != p.ID() {
-		m.doom(p, m.cur[lm.writer], l)
+	if w := m.line(l).writerID(); w >= 0 && w != p.ID() {
+		m.doom(p, m.cur[w], l)
 	}
 }
 
 // doomForWrite dooms every transaction holding line l in its read or write
 // set, except p's own.
 func (m *Memory) doomForWrite(p *sim.Proc, l int) {
-	lm := &m.meta[l]
-	if lm.writer >= 0 && int(lm.writer) != p.ID() {
-		m.doom(p, m.cur[lm.writer], l)
+	lm := m.line(l)
+	if w := lm.writerID(); w >= 0 && w != p.ID() {
+		m.doom(p, m.cur[w], l)
 	}
 	mask := lm.readers
 	for mask != 0 {

@@ -122,8 +122,8 @@ func TestPropertyAbortLeavesNoTrace(t *testing.T) {
 			if hm.Store().Load(at(i)) != 0 {
 				return false
 			}
-			lm := hm.meta[mem.LineOf(at(i))]
-			if lm.readers != 0 || lm.writer != -1 {
+			lm := hm.line(mem.LineOf(at(i)))
+			if lm.readers != 0 || lm.writer != 0 { // 0 encodes "no writer"
 				return false
 			}
 		}

@@ -10,21 +10,16 @@ import (
 // lineSet is an epoch-stamped dense set of cache-line ids: membership is
 // one array compare (stamp[l] == epoch), insertion one store plus an append
 // to the member list, and clearing bumps the epoch instead of touching any
-// line. Sized by Store.Lines() once and reused for every transaction a proc
-// runs, it replaces the per-transaction map allocations that dominated the
-// simulator's profile.
+// line. Reused for every transaction a proc runs, it replaces the
+// per-transaction map allocations that dominated the simulator's profile.
+// The stamp array grows on demand to the highest line ever added, so a
+// cold set costs only the lines its transactions touch. New stamps are 0
+// and a set is cleared before its first add, which makes its epoch at
+// least 1, so they never read as members.
 type lineSet struct {
 	stamp []uint32
 	epoch uint32
 	lines []int // members, in insertion order (deterministic iteration)
-}
-
-// grow sizes the stamp array for a memory of n lines (no-op once grown).
-func (s *lineSet) grow(n int) {
-	if len(s.stamp) < n {
-		s.stamp = make([]uint32, n)
-		s.epoch = 0
-	}
 }
 
 // clear empties the set by bumping the epoch. On the (once per 2^32
@@ -41,9 +36,12 @@ func (s *lineSet) clear() {
 	s.lines = s.lines[:0]
 }
 
-func (s *lineSet) has(l int) bool { return s.stamp[l] == s.epoch }
+func (s *lineSet) has(l int) bool { return l < len(s.stamp) && s.stamp[l] == s.epoch }
 
 func (s *lineSet) add(l int) {
+	if l >= len(s.stamp) {
+		s.stamp = append(s.stamp, make([]uint32, max(l+1, 2*len(s.stamp), 64)-len(s.stamp))...)
+	}
 	s.stamp[l] = s.epoch
 	s.lines = append(s.lines, l)
 }
@@ -112,9 +110,6 @@ func (tx *Tx) elideAt(a mem.Addr) *elideEntry {
 // reset prepares the pooled Tx for a fresh transaction on proc p.
 func (tx *Tx) reset(p *sim.Proc, m *Memory) {
 	tx.p, tx.m = p, m
-	n := m.store.Lines()
-	tx.readSet.grow(n)
-	tx.writeSet.grow(n)
 	tx.readSet.clear()
 	tx.writeSet.clear()
 	if tx.writeBuf == nil {
@@ -202,14 +197,14 @@ func (tx *Tx) addRead(l int) {
 		// from here on the holder's acquiring store dooms this transaction.
 		tx.subscribed = true
 	}
-	lm := &tx.m.meta[l]
-	if lm.writer >= 0 && int(lm.writer) != tx.p.ID() {
-		if tx.m.policy == CommitterWins && !tx.m.cur[lm.writer].doomed {
-			tx.doomLine, tx.doomTid = l, int(lm.writer)
+	lm := tx.m.line(l)
+	if w := lm.writerID(); w >= 0 && w != tx.p.ID() {
+		if tx.m.policy == CommitterWins && !tx.m.cur[w].doomed {
+			tx.doomLine, tx.doomTid = l, w
 			tx.doomNT, tx.doomWhen = false, tx.p.Clock()
 			tx.abortNow(CauseConflict, 0)
 		}
-		tx.m.doom(tx.p, tx.m.cur[lm.writer], l)
+		tx.m.doom(tx.p, tx.m.cur[w], l)
 	}
 	if !tx.readSet.has(l) {
 		if tx.readSet.size() >= tx.m.maxRead {
@@ -231,11 +226,12 @@ func (tx *Tx) addWrite(l int) {
 		// mutate the holder's footprint mid-critical-section.
 		tx.abortNow(CauseDangerous, 0)
 	}
-	lm := &tx.m.meta[l]
+	lm := tx.m.line(l)
+	w := lm.writerID()
 	if tx.m.policy == CommitterWins {
 		// Abort ourselves if any live transactional owner exists.
-		if lm.writer >= 0 && int(lm.writer) != tx.p.ID() && !tx.m.cur[lm.writer].doomed {
-			tx.doomLine, tx.doomTid = l, int(lm.writer)
+		if w >= 0 && w != tx.p.ID() && !tx.m.cur[w].doomed {
+			tx.doomLine, tx.doomTid = l, w
 			tx.doomNT, tx.doomWhen = false, tx.p.Clock()
 			tx.abortNow(CauseConflict, 0)
 		}
@@ -250,8 +246,8 @@ func (tx *Tx) addWrite(l int) {
 			}
 		}
 	}
-	if lm.writer >= 0 && int(lm.writer) != tx.p.ID() {
-		tx.m.doom(tx.p, tx.m.cur[lm.writer], l)
+	if w >= 0 && w != tx.p.ID() {
+		tx.m.doom(tx.p, tx.m.cur[w], l)
 	}
 	me := uint64(1) << tx.p.ID()
 	mask := lm.readers &^ me
@@ -265,7 +261,7 @@ func (tx *Tx) addWrite(l int) {
 			tx.abortNow(CauseCapacity, 0)
 		}
 		tx.writeSet.add(l)
-		lm.writer = int16(tx.p.ID())
+		lm.writer = int16(tx.p.ID() + 1)
 	}
 }
 
@@ -518,8 +514,8 @@ func (tx *Tx) cleanup() {
 		tx.m.meta[l].readers &^= me
 	}
 	for _, l := range tx.writeSet.lines {
-		if int(tx.m.meta[l].writer) == tx.p.ID() {
-			tx.m.meta[l].writer = -1
+		if tx.m.meta[l].writerID() == tx.p.ID() {
+			tx.m.meta[l].writer = 0
 		}
 	}
 	for _, a := range tx.writeOrder {

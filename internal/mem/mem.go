@@ -28,75 +28,70 @@ const LineWords = 8
 const lineShift = 3 // log2(LineWords)
 
 // Store is the simulated physical memory.
+//
+// Memory is materialized lazily: words holds only the prefix of memory
+// that has been allocated or written, and everything past it reads as
+// zero. A cold Store therefore costs what its programs touch, not its
+// capacity, and Reset scrubs only that prefix. The backing array beyond
+// len(words) is always zero, so growing within its capacity is a reslice.
 type Store struct {
-	words   []int64
-	waiters [][]*sim.Proc // line id -> blocked procs
+	words []int64
+	size  int // memory size in words (a whole number of lines)
+	// waiters maps line id -> blocked procs. It grows on demand in
+	// AddWaiter, so it covers only lines some proc has parked on.
+	waiters [][]*sim.Proc
 	// nWaiters counts registered waiters across all lines, so the wakeup
 	// path on every visible store is a single zero test in the common case
 	// of nobody parked (speculative phases park no one).
 	nWaiters int
 	brk      Addr // bump-allocation frontier
-	// hiWater is the highest allocation frontier this backing array has ever
-	// reached. Simulated programs only write allocated words, so everything
-	// at or above hiWater is zero; Reset scrubs only [0, hiWater) instead of
-	// the whole array when a pooled Store is recycled.
-	hiWater Addr
+}
+
+// geometry rounds a requested size up to whole lines (at least one) and
+// returns it in words.
+func geometry(words int) int {
+	if words < LineWords {
+		words = LineWords
+	}
+	return (words + LineWords - 1) / LineWords * LineWords
 }
 
 // NewStore creates a memory of the given size in words, rounded up to a
 // whole number of lines.
 func NewStore(words int) *Store {
-	if words < LineWords {
-		words = LineWords
+	s := &Store{size: geometry(words), brk: LineWords} // burn line 0 so Addr 0 stays nil
+	s.materialize(LineWords)
+	return s
+}
+
+// materialize sets the materialized prefix to n words (n <= size); a
+// caller shrinking it clears the words past n first. A new backing array
+// over-allocates geometrically, so a run that allocates ascending
+// addresses reallocates O(log) times.
+func (s *Store) materialize(n int) {
+	if n > cap(s.words) {
+		grown := make([]int64, n, min(s.size, max(n, 2*cap(s.words), 1024)))
+		copy(grown, s.words)
+		s.words = grown
 	}
-	lines := (words + LineWords - 1) / LineWords
-	return &Store{
-		words:   make([]int64, lines*LineWords),
-		waiters: make([][]*sim.Proc, lines),
-		brk:     LineWords, // burn line 0 so Addr 0 stays nil
-		hiWater: LineWords,
-	}
+	s.words = s.words[:n]
 }
 
 // Reset returns the Store to the state NewStore(words) would produce,
-// reusing the backing arrays when their capacity allows. Only the
-// previously allocated region is scrubbed (words at or above the high-water
-// frontier are zero by the Alloc discipline), so recycling a pooled Store
-// costs O(allocated), not O(capacity). Must not be called while any sim
-// Proc is parked on one of the Store's lines.
+// reusing the backing arrays. Only the materialized prefix is scrubbed, so
+// recycling a pooled Store costs O(words the last run touched), not
+// O(capacity). Registrations left by procs killed while parked (a
+// deadlocked run) are dropped. Must not be called during a run.
 func (s *Store) Reset(words int) {
-	if words < LineWords {
-		words = LineWords
-	}
-	lines := (words + LineWords - 1) / LineWords
-	n := lines * LineWords
-	if cap(s.words) >= n {
-		// The dirty region may extend past the new length when the previous
-		// incarnation was larger; hiWater never exceeds the backing array.
-		s.words = s.words[:cap(s.words)]
-		clearWords(s.words[:s.hiWater])
-		s.words = s.words[:n]
-	} else {
-		s.words = make([]int64, n)
-	}
-	if cap(s.waiters) >= lines {
-		s.waiters = s.waiters[:lines]
-		for i := range s.waiters {
-			s.waiters[i] = s.waiters[i][:0]
-		}
-	} else {
-		s.waiters = make([][]*sim.Proc, lines)
+	clear(s.words)
+	s.words = s.words[:0]
+	s.size = geometry(words)
+	s.materialize(LineWords)
+	for i := range s.waiters {
+		s.waiters[i] = s.waiters[i][:0]
 	}
 	s.nWaiters = 0
 	s.brk = LineWords
-	s.hiWater = LineWords
-}
-
-// clearWords zeroes a word slice (compiled to a memclr).
-func clearWords(w []int64) {
-	for i := range w {
-		w[i] = 0
-	}
 }
 
 // Snapshot copies the allocated prefix of memory — the image a later
@@ -109,29 +104,25 @@ func (s *Store) Snapshot() ([]int64, Addr) {
 
 // Restore overwrites memory with a snapshot taken on a Store of the same
 // geometry: the image is copied over the front of memory, any previously
-// allocated words beyond it are zeroed, and the allocation frontier is set
+// written words beyond it are zeroed, and the allocation frontier is set
 // to the snapshot's. Waiter queues are untouched (a Store being restored
 // must have none). Restoring is byte-for-byte equivalent to replaying the
 // allocations and stores that produced the snapshot.
 func (s *Store) Restore(img []int64, brk Addr) {
-	if int(brk) > len(s.words) {
-		panic(fmt.Sprintf("mem: snapshot frontier %d exceeds store size %d", brk, len(s.words)))
+	if int(brk) > s.size {
+		panic(fmt.Sprintf("mem: snapshot frontier %d exceeds store size %d", brk, s.size))
 	}
-	if s.hiWater > Addr(len(img)) {
-		clearWords(s.words[len(img):s.hiWater])
-	}
+	clear(s.words[min(len(s.words), len(img)):])
+	s.materialize(len(img))
 	copy(s.words, img)
 	s.brk = brk
-	if brk > s.hiWater {
-		s.hiWater = brk
-	}
 }
 
 // Words returns the memory size in words.
-func (s *Store) Words() int { return len(s.words) }
+func (s *Store) Words() int { return s.size }
 
 // Lines returns the memory size in cache lines.
-func (s *Store) Lines() int { return len(s.waiters) }
+func (s *Store) Lines() int { return s.size / LineWords }
 
 // LineOf maps a word address to its cache-line index.
 func LineOf(a Addr) int { return int(a >> lineShift) }
@@ -139,21 +130,27 @@ func LineOf(a Addr) int { return int(a >> lineShift) }
 // check panics on wild addresses: simulated programs dereferencing garbage
 // is a bug in this repository, not a recoverable condition.
 func (s *Store) check(a Addr) {
-	if a <= 0 || int(a) >= len(s.words) {
-		panic(fmt.Sprintf("mem: wild address %d (memory has %d words)", a, len(s.words)))
+	if a <= 0 || int(a) >= s.size {
+		panic(fmt.Sprintf("mem: wild address %d (memory has %d words)", a, s.size))
 	}
 }
 
 // Load reads a word with no coherency side effects. Transactional and
 // non-transactional semantics (conflict detection, costs) live in htm.
 func (s *Store) Load(a Addr) int64 {
+	if a > 0 && int(a) < len(s.words) {
+		return s.words[a]
+	}
 	s.check(a)
-	return s.words[a]
+	return 0 // past the materialized prefix: never written
 }
 
 // StoreWord writes a word with no coherency side effects.
 func (s *Store) StoreWord(a Addr, v int64) {
-	s.check(a)
+	if a <= 0 || int(a) >= len(s.words) {
+		s.check(a)
+		s.materialize(int(a) + 1)
+	}
 	s.words[a] = v
 }
 
@@ -165,11 +162,11 @@ func (s *Store) Alloc(n int) Addr {
 	}
 	a := s.brk
 	s.brk += Addr(n)
-	if int(s.brk) > len(s.words) {
-		panic(fmt.Sprintf("mem: out of simulated memory (brk %d > %d words); size the Store larger", s.brk, len(s.words)))
+	if int(s.brk) > s.size {
+		panic(fmt.Sprintf("mem: out of simulated memory (brk %d > %d words); size the Store larger", s.brk, s.size))
 	}
-	if s.brk > s.hiWater {
-		s.hiWater = s.brk
+	if int(s.brk) > len(s.words) {
+		s.materialize(int(s.brk))
 	}
 	return a
 }
@@ -188,7 +185,11 @@ func (s *Store) AllocLines(n int) Addr {
 // AddWaiter registers p as blocked on the line containing a. The caller must
 // subsequently call p.Block; any write to the line wakes all its waiters.
 func (s *Store) AddWaiter(a Addr, p *sim.Proc) {
+	s.check(a)
 	l := LineOf(a)
+	if l >= len(s.waiters) {
+		s.waiters = append(s.waiters, make([][]*sim.Proc, l+1-len(s.waiters))...)
+	}
 	s.waiters[l] = append(s.waiters[l], p)
 	s.nWaiters++
 }
@@ -197,6 +198,9 @@ func (s *Store) AddWaiter(a Addr, p *sim.Proc) {
 // timeout wake, so a later store does not wake a proc that no longer waits).
 func (s *Store) RemoveWaiter(a Addr, p *sim.Proc) {
 	l := LineOf(a)
+	if l >= len(s.waiters) {
+		return
+	}
 	ws := s.waiters[l]
 	for i, q := range ws {
 		if q == p {
@@ -215,6 +219,9 @@ func (s *Store) WakeWaiters(a Addr, by *sim.Proc, cause sim.WakeCause, latency u
 		return
 	}
 	l := LineOf(a)
+	if l >= len(s.waiters) {
+		return
+	}
 	ws := s.waiters[l]
 	if len(ws) == 0 {
 		return

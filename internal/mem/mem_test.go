@@ -212,3 +212,44 @@ func TestWaiterCountTracksRegistrations(t *testing.T) {
 		t.Fatalf("woken = %d, want 1", woken)
 	}
 }
+
+// TestLazyMemoryReadsZeroAndResetScrubs: words past the materialized
+// prefix read as zero, a store there materializes it, and Reset and
+// Restore leave no trace of words the last run wrote, at any geometry.
+func TestLazyMemoryReadsZeroAndResetScrubs(t *testing.T) {
+	s := NewStore(4096)
+	if s.Words() != 4096 || s.Lines() != 512 {
+		t.Fatalf("store has %d words, %d lines; want 4096, 512", s.Words(), s.Lines())
+	}
+	if got := s.Load(4000); got != 0 {
+		t.Fatalf("unwritten word reads %d", got)
+	}
+	s.StoreWord(4000, 9) // unallocated but in range, as tests of raw memory do
+	a := s.Alloc(100)
+	s.StoreWord(a+99, 5)
+	img, brk := s.Snapshot()
+	if s.Load(4000) != 9 || s.Load(a+99) != 5 {
+		t.Fatal("stored words did not read back")
+	}
+
+	s.Reset(1 << 12)
+	if s.Load(4000) != 0 || s.Load(a+99) != 0 {
+		t.Fatal("Reset left written words behind")
+	}
+	s.StoreWord(4000, 3)
+	s.Restore(img, brk)
+	if s.Load(4000) != 0 || s.Load(a+99) != 5 || s.Alloc(1) != brk {
+		t.Fatal("Restore is not the snapshot image followed by zeros")
+	}
+
+	s.Reset(64) // a smaller geometry on the same backing array
+	if s.Words() != 64 || s.Load(63) != 0 {
+		t.Fatalf("shrunk store: %d words, word 63 = %d", s.Words(), s.Load(63))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Load past the shrunk store did not panic")
+		}
+	}()
+	s.Load(64)
+}

@@ -192,6 +192,9 @@ func RunCampaign(cfg CampaignConfig) Summary {
 		failures fleet.Merger[Failure]
 	)
 	timeBoxed := !cfg.Deadline.IsZero()
+	// One reusable case instance per fleet worker, kept across rounds; an
+	// instance builds its machine and memory on its worker's first case.
+	insts := make([]instance, workers)
 	round := 0
 	for {
 		n := seeds
@@ -201,12 +204,13 @@ func RunCampaign(cfg CampaignConfig) Summary {
 		total := len(grid) * n
 		fc := fleet.Config{Workers: workers, Shards: cfg.Shards, Progress: cfg.Progress, Profile: cfg.Profile}
 		base := round * total // global case index offset for the failure merge
-		fleet.Run(fc, total, func(_, j int) {
+		fleet.Run(fc, total, func(w, j int) {
+			in := &insts[w]
 			combo, i := j/n, j%n
 			g := grid[combo]
 			c := GenCase(g.scheme, g.lock, comboSeed(cfg.SeedBase, combo, round*n+i))
 			c.HWFix = cfg.HWFix
-			r := Run(c)
+			r := in.run(c, nil)
 
 			// Streaming fold: shrinking (the expensive part of a failing
 			// case) happens here on the worker, not in a serial pass.
@@ -227,7 +231,7 @@ func RunCampaign(cfg CampaignConfig) Summary {
 					if f.Expected {
 						keep = func(rr Result) bool { return rr.Expected() > 0 }
 					}
-					f.ShrunkRepro = ShrinkWhere(r.Case, nil, keep).Repro()
+					f.ShrunkRepro = shrinkWhere(in, r.Case, nil, keep).Repro()
 				}
 				failures.Add(base+j, *f)
 			}
@@ -328,11 +332,12 @@ func RunMutant(mut Mutant, seedBase uint64, shrink bool) MutantResult {
 	res := MutantResult{Name: mut.Name, SeedBudget: mut.SeedBudget}
 	prof := profileFor(Case{Scheme: mut.ProfileScheme}.withDefaults())
 	demonstrated := 0
+	var in instance // one reusable instance for the whole seed budget
 	for i := 0; i < mut.SeedBudget; i++ {
 		c := GenCase(mut.ProfileScheme, mut.Lock, comboSeed(seedBase, 0, i))
 		c.Mutant = mut.Name
 		res.SeedsTried = i + 1
-		r := RunWith(c, mut.Build)
+		r := in.run(c, mut.Build)
 		if r.Unexpected() == 0 {
 			demonstrated += r.Expected()
 			continue
@@ -347,7 +352,7 @@ func RunMutant(mut Mutant, seedBase uint64, shrink bool) MutantResult {
 		}
 		repro := c
 		if shrink {
-			repro = ShrinkWhere(c, mut.Build, func(rr Result) bool { return rr.Unexpected() > 0 })
+			repro = shrinkWhere(&in, c, mut.Build, func(rr Result) bool { return rr.Unexpected() > 0 })
 		}
 		res.Repro = repro.Repro()
 		return res

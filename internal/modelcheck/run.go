@@ -100,6 +100,8 @@ func applyMaxRetries(s core.Scheme, c Case) {
 
 // memWords sizes the simulated memory: container buckets/nodes plus heap
 // chunks for every proc stay far below this for the generated envelope.
+// Only the lines a case touches cost anything (see htm.Memory.Reset), so
+// the generous size is free on a pooled instance.
 const memWords = 1 << 18
 
 // Run executes one model-checking run of the real scheme/lock combination
@@ -110,8 +112,23 @@ func Run(c Case) Result {
 
 // RunWith executes one run with a custom scheme builder (nil selects the
 // factory). The oracle profile is resolved from c.Scheme, so a mutant run
-// is held to the contract of the real scheme it claims to implement.
+// is held to the contract of the real scheme it claims to implement. Each
+// call builds a throwaway instance; campaigns reuse one per worker.
 func RunWith(c Case, build SchemeBuilder) Result {
+	return new(instance).run(c, build)
+}
+
+// instance runs cases on one reusable machine and memory, reset between
+// cases instead of rebuilt. A campaign worker, one ShrinkWhere call or one
+// RunMutant call owns an instance for its lifetime; every Result equals
+// what a fresh RunWith returns (TestCaseInstanceReuseMatchesFresh). Not
+// safe for concurrent use.
+type instance struct {
+	hw htm.Pair
+}
+
+// run executes one case on the instance: RunWith's contract.
+func (in *instance) run(c Case, build SchemeBuilder) Result {
 	c = c.withDefaults()
 	res := Result{Case: c}
 	repro := c.Repro()
@@ -122,21 +139,21 @@ func RunWith(c Case, build SchemeBuilder) Result {
 		})
 	}
 
-	m, err := sim.New(sim.Config{
+	err := in.hw.Prepare(sim.Config{
 		Procs:        c.Threads,
 		Seed:         c.Seed,
 		Quantum:      c.Quantum,
 		Cores:        c.Cores,
 		JitterCycles: c.Jitter,
+	}, htm.Config{
+		Words:                             memWords,
+		AbortOnDangerousWhileUnsubscribed: c.HWFix,
 	})
 	if err != nil {
 		fail(OracleConfig, "sim config rejected: %v", err)
 		return res
 	}
-	hm := htm.NewMemory(m, htm.Config{
-		Words:                             memWords,
-		AbortOnDangerousWhileUnsubscribed: c.HWFix,
-	})
+	m, hm := in.hw.Machine, in.hw.Memory
 	col := obs.NewCollector(c.Scheme, c.Lock, 0)
 	hm.SetCollector(col)
 	// MaxEdges must exceed any possible abort count so the exact

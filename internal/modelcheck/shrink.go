@@ -21,10 +21,18 @@ func Shrink(c Case, build SchemeBuilder) Case {
 // whose only violations are of a different class (e.g. from an expected
 // commit-safety demonstration to an unexpected accounting bug, or vice
 // versa).
+//
+// Every candidate replays on one instance, reset between runs.
 func ShrinkWhere(c Case, build SchemeBuilder, keep func(Result) bool) Case {
+	return shrinkWhere(new(instance), c, build, keep)
+}
+
+// shrinkWhere is ShrinkWhere replaying every candidate on in: a campaign
+// worker shrinks on its own instance.
+func shrinkWhere(in *instance, c Case, build SchemeBuilder, keep func(Result) bool) Case {
 	c = c.withDefaults()
 	stillFails := func(cand Case) bool {
-		return keep(RunWith(cand, build))
+		return keep(in.run(cand, build))
 	}
 	if !stillFails(c) {
 		// Not reproducibly failing (should not happen for a Result with

@@ -90,6 +90,11 @@ func (cfg Config) Validate() error {
 	if cfg.Seeds < 0 {
 		return fmt.Errorf("tuner: seeds must be >= 1, got %d", cfg.Seeds)
 	}
+	wl := c.Workload
+	wl.Scheme = c.Scheme
+	if err := wl.Validate(); err != nil {
+		return fmt.Errorf("tuner: workload: %w", err)
+	}
 	return nil
 }
 

@@ -65,6 +65,8 @@ func TestConfigValidate(t *testing.T) {
 		"negative candidates": func(c *Config) { c.Candidates = -1 },
 		"eta one":             func(c *Config) { c.Eta = 1 },
 		"negative seeds":      func(c *Config) { c.Seeds = -2 },
+		"unknown lock":        func(c *Config) { c.Workload.Lock = "mcss" },
+		"zero threads":        func(c *Config) { c.Workload.Threads = 0 },
 	} {
 		c := good
 		mut(&c)
