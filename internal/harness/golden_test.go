@@ -116,10 +116,11 @@ func TestGoldenFigureDigests(t *testing.T) {
 	}
 }
 
-// TestSimFingerprints pins the simulated work of five single points that
-// span the lemming, SLR, SCM, SMT and STAMP code paths: the virtual cycles
-// covered and the transaction attempts made. Like the figure digests, a
-// host-time change must leave them exact.
+// TestSimFingerprints pins the simulated work of single points that span
+// the lemming, SLR, SCM, SMT and STAMP code paths and every registered
+// scheme's control flow (grouped SCM, the adaptive family, lazysub under the
+// hardware fix): the virtual cycles covered and the transaction attempts
+// made. Like the figure digests, a host-time change must leave them exact.
 func TestSimFingerprints(t *testing.T) {
 	base := DSConfig{
 		Threads: 8, Size: 128, Mix: MixModerate,
@@ -128,6 +129,14 @@ func TestSimFingerprints(t *testing.T) {
 	point := func(st Structure, scheme SchemeID, lock LockID, cores int) func(*testing.T) (uint64, uint64) {
 		cfg := base
 		cfg.Structure, cfg.Scheme, cfg.Lock, cfg.Cores = st, scheme, lock, cores
+		return func(*testing.T) (uint64, uint64) {
+			r := RunDataStructure(cfg)
+			return r.Cycles, r.Stats.Attempts
+		}
+	}
+	hwfix := func(st Structure, scheme SchemeID, lock LockID) func(*testing.T) (uint64, uint64) {
+		cfg := base
+		cfg.Structure, cfg.Scheme, cfg.Lock, cfg.HWFix = st, scheme, lock, true
 		return func(*testing.T) (uint64, uint64) {
 			r := RunDataStructure(cfg)
 			return r.Cycles, r.Stats.Attempts
@@ -142,6 +151,12 @@ func TestSimFingerprints(t *testing.T) {
 		{"rbtree-optslr-mcs-8t", point(StructTree, SchemeOptSLR, LockMCS, 0), 401932, 11937},
 		{"hash-hlescm-ttas-8t", point(StructHash, SchemeHLESCM, LockTTAS, 0), 400140, 27094},
 		{"rbtree-hleretries-mcs-8t-smt4", point(StructTree, SchemeHLERetries, LockMCS, 4), 400972, 7518},
+		{"hash-slrscm-mcs-8t", point(StructHash, SchemeSLRSCM, LockMCS, 0), 400132, 27829},
+		{"rbtree-hlescmgrouped-ttas-8t", point(StructTree, SchemeHLESCMGrouped, LockTTAS, 0), 401452, 8623},
+		{"hash-slrscmgrouped-mcs-8t", point(StructHash, SchemeSLRSCMGrouped, LockMCS, 0), 400108, 28102},
+		{"rbtree-adaptivehle-mcs-8t", point(StructTree, SchemeAdaptiveHLE, LockMCS, 0), 400880, 10892},
+		{"hash-adaptiveslr-ttas-8t", point(StructHash, SchemeAdaptiveSLR, LockTTAS, 0), 400444, 28114},
+		{"rbtree-lazysub-hwfix-mcs-8t", hwfix(StructTree, SchemeLazySub, LockMCS), 401672, 3221},
 		{"stamp-kmeans-high-8t", func(t *testing.T) (uint64, uint64) {
 			r, err := stamp.Run(stamp.Config{
 				App: "kmeans-high", Scheme: "hle-scm", Lock: "ttas",
