@@ -248,35 +248,14 @@ func (s *Adaptive) SetConfig(cfg AdaptiveConfig) error {
 	return nil
 }
 
-// attempt runs one speculative execution under the chosen inner mode.
+// attempt runs one speculative execution under the chosen inner mode. A
+// busy lock dooms an HLE-style attempt, so it aborts at once and charges
+// the busy budget rather than spin in-transaction.
 func (s *Adaptive) attempt(p *sim.Proc, body func(c htm.Ctx)) htm.Status {
-	return s.m.Atomic(p, func(tx *htm.Tx) {
-		if s.mode == AdaptiveOverHLE {
-			ok, _ := s.l.SpecAcquire(tx)
-			if !ok {
-				// A busy lock dooms the attempt; abort now and charge the
-				// busy budget rather than spin in-transaction.
-				tx.Abort(CodeLockBusy)
-			}
-			body(ctx(s.m, p))
-			s.l.SpecRelease(tx)
-			return
-		}
-		body(ctx(s.m, p))
-		if s.l.HeldTx(tx) {
-			tx.Abort(CodeSLRLockHeld)
-		}
-	})
-}
-
-// fallback completes the critical section holding the lock.
-func (s *Adaptive) fallback(p *sim.Proc, body func(c htm.Ctx)) {
-	s.m.TraceLockWait(p)
-	s.l.Lock(p)
-	s.m.TraceLock(p)
-	body(ctx(s.m, p))
-	s.l.Unlock(p)
-	s.m.TraceUnlock(p)
+	if s.mode == AdaptiveOverHLE {
+		return hleAttempt(s.m, s.l, p, body, true)
+	}
+	return slrAttempt(s.m, s.l, p, body)
 }
 
 // Critical implements Scheme: the forfeit-window state machine around a
@@ -296,7 +275,7 @@ func (s *Adaptive) Critical(p *sim.Proc, body func(c htm.Ctx)) Outcome {
 		o.Forfeited = true
 		o.ForfeitExited = t.skip == 0
 		o.Attempts++
-		s.fallback(p, body)
+		locked(s.m, s.l, p, body)
 		return o
 	}
 	rem := s.cfg.Retry
@@ -330,7 +309,7 @@ func (s *Adaptive) Critical(p *sim.Proc, body func(c htm.Ctx)) Outcome {
 		o.ForfeitEntered = true
 		o.ExhaustedClass = cl
 		o.Attempts++
-		s.fallback(p, body)
+		locked(s.m, s.l, p, body)
 		return o
 	}
 }

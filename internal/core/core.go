@@ -16,6 +16,9 @@
 //	              auxiliary lock and rejoin the speculative run.
 //	SLR-SCM     — SCM over SLR attempts.
 //
+// Each scheme is one retry loop over shared pieces: the speculative
+// attempts slrAttempt and hleAttempt, and locked, the one blocking fallback.
+//
 // A Scheme's Critical runs one critical section; the body receives an
 // htm.Ctx whose loads and stores are transactional on the speculative path
 // and plain accesses on the fallback path, so data-structure code is written
@@ -100,6 +103,50 @@ type Scheme interface {
 // ctx builds the accessor for proc p over memory m.
 func ctx(m *htm.Memory, p *sim.Proc) htm.Ctx { return htm.Ctx{P: p, M: m} }
 
+// locked runs body holding l non-speculatively: the fallback every scheme
+// ends in. The trace calls are protocol, not decoration — TraceLock records
+// the fallback holder the lazy-subscription hardware fix aborts against,
+// and the commit-safety oracle reads the same lock/unlock events — so every
+// blocking fallback goes through here.
+func locked(m *htm.Memory, l locks.Lock, p *sim.Proc, body func(c htm.Ctx)) {
+	m.TraceLockWait(p)
+	l.Lock(p)
+	m.TraceLock(p)
+	body(ctx(m, p))
+	l.Unlock(p)
+	m.TraceUnlock(p)
+}
+
+// slrAttempt runs one SLR speculative execution (Figure 5): the body, then
+// a transactional read of the lock that self-aborts if it is held.
+func slrAttempt(m *htm.Memory, l locks.Lock, p *sim.Proc, body func(c htm.Ctx)) htm.Status {
+	return m.Atomic(p, func(tx *htm.Tx) {
+		body(ctx(m, p))
+		if l.HeldTx(tx) {
+			tx.Abort(CodeSLRLockHeld)
+		}
+	})
+}
+
+// hleAttempt runs one speculative execution with the lock elided
+// (XACQUIRE/XRELEASE). If the elided acquire finds the lock busy, the
+// attempt aborts at once with CodeLockBusy when abortBusy is set, and
+// otherwise spins on the lock in-transaction until the coherency abort
+// arrives (raw hardware, Figure 1 dynamics).
+func hleAttempt(m *htm.Memory, l locks.Elidable, p *sim.Proc, body func(c htm.Ctx), abortBusy bool) htm.Status {
+	return m.Atomic(p, func(tx *htm.Tx) {
+		ok, wait := l.SpecAcquire(tx)
+		if !ok {
+			if abortBusy {
+				tx.Abort(CodeLockBusy)
+			}
+			tx.Wait(wait)
+		}
+		body(ctx(m, p))
+		l.SpecRelease(tx)
+	})
+}
+
 // --- NoLock -----------------------------------------------------------------
 
 // NoLock runs the body with no synchronization at all. It is the "single
@@ -143,12 +190,7 @@ func (s *Standard) Name() string { return SchemeNameStandard }
 
 // Critical implements Scheme.
 func (s *Standard) Critical(p *sim.Proc, body func(c htm.Ctx)) Outcome {
-	s.m.TraceLockWait(p)
-	s.l.Lock(p)
-	s.m.TraceLock(p)
-	body(ctx(s.m, p))
-	s.l.Unlock(p)
-	s.m.TraceUnlock(p)
+	locked(s.m, s.l, p, body)
 	return Outcome{Speculative: false, Attempts: 1}
 }
 
@@ -187,28 +229,6 @@ func (s *HLE) Name() string {
 	return SchemeNameHLE
 }
 
-// attempt runs one speculative HLE execution of the body.
-func (s *HLE) attempt(p *sim.Proc, body func(c htm.Ctx)) htm.Status {
-	return s.m.Atomic(p, func(tx *htm.Tx) {
-		ok, wait := s.l.SpecAcquire(tx)
-		if !ok {
-			if s.SpecRetries > 0 {
-				// Retry policy: a busy lock means this attempt cannot
-				// commit; abort now and burn the retry. This is why naive
-				// retrying fails to rescue fair locks — during one
-				// serialization burst the whole budget evaporates and the
-				// thread joins the queue anyway (§7.1).
-				tx.Abort(CodeLockBusy)
-			}
-			// Raw HLE: spin on the lock transactionally until the
-			// coherency abort arrives (Figure 1 dynamics).
-			tx.Wait(wait)
-		}
-		body(ctx(s.m, p))
-		s.l.SpecRelease(tx)
-	})
-}
-
 // Critical implements Scheme.
 func (s *HLE) Critical(p *sim.Proc, body func(c htm.Ctx)) Outcome {
 	var o Outcome
@@ -223,7 +243,12 @@ func (s *HLE) Critical(p *sim.Proc, body func(c htm.Ctx)) Outcome {
 			s.l.WaitUntilFree(p)
 		}
 		o.Attempts++
-		st := s.attempt(p, body)
+		// Under the retry policy a busy lock means the attempt cannot
+		// commit; abort now and burn the retry. This is why naive retrying
+		// fails to rescue fair locks — during one serialization burst the
+		// whole budget evaporates and the thread joins the queue anyway
+		// (§7.1).
+		st := hleAttempt(s.m, s.l, p, body, s.SpecRetries > 0)
 		if st.Committed {
 			o.Speculative = true
 			return o
@@ -255,12 +280,7 @@ func (s *HLE) Critical(p *sim.Proc, body func(c htm.Ctx)) Outcome {
 		}
 		// Retry budget exhausted: blocking non-speculative acquisition.
 		o.Attempts++
-		s.m.TraceLockWait(p)
-		s.l.Lock(p)
-		s.m.TraceLock(p)
-		body(ctx(s.m, p))
-		s.l.Unlock(p)
-		s.m.TraceUnlock(p)
+		locked(s.m, s.l, p, body)
 		return o
 	}
 }
@@ -293,12 +313,7 @@ func (s *SLR) Critical(p *sim.Proc, body func(c htm.Ctx)) Outcome {
 	var o Outcome
 	for tries := 0; tries < s.MaxRetries; tries++ {
 		o.Attempts++
-		st := s.m.Atomic(p, func(tx *htm.Tx) {
-			body(ctx(s.m, p))
-			if s.l.HeldTx(tx) {
-				tx.Abort(CodeSLRLockHeld)
-			}
-		})
+		st := slrAttempt(s.m, s.l, p, body)
 		if st.Committed {
 			o.Speculative = true
 			return o
@@ -315,12 +330,7 @@ func (s *SLR) Critical(p *sim.Proc, body func(c htm.Ctx)) Outcome {
 		}
 	}
 	o.Attempts++
-	s.m.TraceLockWait(p)
-	s.l.Lock(p)
-	s.m.TraceLock(p)
-	body(ctx(s.m, p))
-	s.l.Unlock(p)
-	s.m.TraceUnlock(p)
+	locked(s.m, s.l, p, body)
 	return o
 }
 
@@ -346,11 +356,23 @@ const (
 // auxiliary-lock holder falls back to the main lock only after MaxRetries
 // failed speculative attempts, preserving progress; with a fair auxiliary
 // lock the scheme inherits starvation freedom.
+//
+// With G > 1 auxiliary locks (NewGroupedSCM) it implements the refinement
+// the paper leaves as future work (§6 Remark, §8): conflicting threads are
+// divided into groups that only serialize among themselves. The group is
+// chosen from the abort status' conflict location — the "abort information
+// provided by the hardware" §8 identifies — by hashing the conflicting
+// cache line onto one of the G locks, so threads that conflicted on
+// unrelated data keep speculating in parallel while threads fighting over
+// the same line serialize exactly as in plain SCM. Aborts that carry no
+// location (spurious, capacity, explicit) map to group 0, and with one
+// auxiliary lock every abort does.
 type SCM struct {
 	m          *htm.Memory
 	main       locks.Lock
-	aux        locks.Lock
+	aux        []locks.Lock
 	mode       SCMMode
+	name       string
 	MaxRetries int
 }
 
@@ -359,38 +381,70 @@ var _ Scheme = (*SCM)(nil)
 // NewSCM builds an SCM scheme over the main lock. aux should be a fair lock
 // (the paper uses MCS) so the scheme inherits its fairness.
 func NewSCM(m *htm.Memory, main, aux locks.Lock, mode SCMMode) *SCM {
-	return &SCM{m: m, main: main, aux: aux, mode: mode, MaxRetries: DefaultMaxRetries}
+	name := SchemeNameHLESCM
+	if mode == SCMOverSLR {
+		name = SchemeNameSLRSCM
+	}
+	return &SCM{m: m, main: main, aux: []locks.Lock{aux}, mode: mode, name: name, MaxRetries: DefaultMaxRetries}
+}
+
+// NewGroupedSCM builds a grouped-SCM scheme with groups fair MCS auxiliary
+// locks over the main lock.
+func NewGroupedSCM(m *htm.Memory, main locks.Lock, mode SCMMode, groups, procs int) *SCM {
+	aux := make([]locks.Lock, max(groups, 1))
+	for i := range aux {
+		aux[i] = locks.NewMCS(m, procs)
+	}
+	name := SchemeNameHLESCMGrouped
+	if mode == SCMOverSLR {
+		name = SchemeNameSLRSCMGrouped
+	}
+	return &SCM{m: m, main: main, aux: aux, mode: mode, name: name, MaxRetries: DefaultMaxRetries}
 }
 
 // Name implements Scheme.
-func (s *SCM) Name() string {
-	if s.mode == SCMOverSLR {
-		return SchemeNameSLRSCM
+func (s *SCM) Name() string { return s.name }
+
+// group maps an abort status to the auxiliary lock that serializes its
+// conflict community.
+func (s *SCM) group(st htm.Status) int {
+	if st.Cause != htm.CauseConflict || st.ConflictLine < 0 {
+		return 0
 	}
-	return SchemeNameHLESCM
+	h := uint64(st.ConflictLine) * 0x9E3779B97F4A7C15
+	return int((h >> 32) % uint64(len(s.aux)))
 }
 
 // attempt runs one speculative execution under the chosen inner mode.
 func (s *SCM) attempt(p *sim.Proc, body func(c htm.Ctx)) htm.Status {
+	if s.mode == SCMOverSLR {
+		return slrAttempt(s.m, s.main, p, body)
+	}
 	return s.m.Atomic(p, func(tx *htm.Tx) {
-		if s.mode == SCMOverHLE {
-			if s.main.HeldTx(tx) {
-				tx.Abort(CodeNonSpecRun)
-			}
-			body(ctx(s.m, p))
-			return
+		if s.main.HeldTx(tx) {
+			tx.Abort(CodeNonSpecRun)
 		}
 		body(ctx(s.m, p))
-		if s.main.HeldTx(tx) {
-			tx.Abort(CodeSLRLockHeld)
-		}
 	})
 }
 
-// Critical implements Scheme.
+// releaseAux releases auxiliary lock g, held since the given clock, and
+// adds the held time to o.AuxDwell.
+func (s *SCM) releaseAux(p *sim.Proc, g int, since uint64, o *Outcome) {
+	s.aux[g].Unlock(p)
+	o.AuxDwell += p.Clock() - since
+	s.m.TraceAuxUnlock(p)
+}
+
+// Critical implements Scheme. The serializing path acquires the auxiliary
+// lock of the group the *last* conflict pointed at; if a later abort
+// implicates a different group, the thread migrates (releasing the old
+// auxiliary lock first, preserving lock ordering and deadlock freedom —
+// at most one auxiliary lock is ever held). Dwell counts only held time,
+// not the handover gap.
 func (s *SCM) Critical(p *sim.Proc, body func(c htm.Ctx)) Outcome {
 	var o Outcome
-	auxOwner := false
+	held := -1 // index of the auxiliary lock held, or -1
 	var auxStart uint64
 	retries := 0
 	for {
@@ -410,48 +464,34 @@ func (s *SCM) Critical(p *sim.Proc, body func(c htm.Ctx)) Outcome {
 		o.LastCause = st.Cause
 		// Serializing path (Figure 7, lines 17-26): acquire the auxiliary
 		// lock on the first failure; count retries while holding it.
-		if !auxOwner {
+		if g := s.group(st); g == held {
+			retries++
+		} else {
+			if held >= 0 {
+				// The conflict moved to another community; migrate.
+				s.releaseAux(p, held, auxStart, &o)
+				retries++
+			}
 			s.m.TraceAuxWait(p)
-			s.aux.Lock(p)
-			auxOwner = true
+			s.aux[g].Lock(p)
+			held = g
 			auxStart = p.Clock()
 			s.m.TraceAuxLock(p)
 			o.AuxUsed = true
-		} else {
-			retries++
 		}
-		if retries >= s.MaxRetries {
+		// SLR tuning (§7): when the abort status says retrying is unlikely
+		// to succeed, switch to the main lock now.
+		if retries >= s.MaxRetries || s.mode == SCMOverSLR && !st.Retry {
 			o.Attempts++
-			s.m.TraceLockWait(p)
-			s.main.Lock(p)
-			s.m.TraceLock(p)
-			body(ctx(s.m, p))
-			s.main.Unlock(p)
-			s.m.TraceUnlock(p)
+			locked(s.m, s.main, p, body)
 			break
 		}
-		if s.mode == SCMOverSLR {
-			if !st.Retry {
-				// SLR tuning (§7): the abort status says retrying is
-				// unlikely to succeed; switch to the main lock now.
-				o.Attempts++
-				s.m.TraceLockWait(p)
-				s.main.Lock(p)
-				s.m.TraceLock(p)
-				body(ctx(s.m, p))
-				s.main.Unlock(p)
-				s.m.TraceUnlock(p)
-				break
-			}
-			if st.Cause == htm.CauseExplicit && st.Code == CodeSLRLockHeld {
-				s.main.WaitUntilFree(p)
-			}
+		if s.mode == SCMOverSLR && st.Cause == htm.CauseExplicit && st.Code == CodeSLRLockHeld {
+			s.main.WaitUntilFree(p)
 		}
 	}
-	if auxOwner {
-		s.aux.Unlock(p)
-		o.AuxDwell = p.Clock() - auxStart
-		s.m.TraceAuxUnlock(p)
+	if held >= 0 {
+		s.releaseAux(p, held, auxStart, &o)
 	}
 	return o
 }

@@ -89,11 +89,6 @@ func (s *LazySub) Critical(p *sim.Proc, body func(c htm.Ctx)) Outcome {
 		}
 	}
 	o.Attempts++
-	s.m.TraceLockWait(p)
-	s.l.Lock(p)
-	s.m.TraceLock(p)
-	body(ctx(s.m, p))
-	s.l.Unlock(p)
-	s.m.TraceUnlock(p)
+	locked(s.m, s.l, p, body)
 	return o
 }

@@ -9,7 +9,7 @@ import (
 	"elision/internal/sim"
 )
 
-func newGroupedRig(t *testing.T, procs, groups int, mode SCMMode, seed uint64) (*sim.Machine, *htm.Memory, *GroupedSCM) {
+func newGroupedRig(t *testing.T, procs, groups int, mode SCMMode, seed uint64) (*sim.Machine, *htm.Memory, *SCM) {
 	t.Helper()
 	m := sim.MustNew(sim.Config{Procs: procs, Seed: seed})
 	hm := htm.NewMemory(m, htm.Config{Words: 1 << 18, Cost: testCost()})

@@ -87,8 +87,6 @@ func applyMaxRetries(s core.Scheme, c Case) {
 		v.MaxRetries = c.MaxRetries
 	case *core.SCM:
 		v.MaxRetries = c.MaxRetries
-	case *core.GroupedSCM:
-		v.MaxRetries = c.MaxRetries
 	case *core.Adaptive:
 		if cfg, err := core.ParseAdaptiveConfig(c.ACfg); err == nil {
 			if serr := v.SetConfig(cfg); serr != nil {
