@@ -79,7 +79,6 @@ func run(args []string, stdout io.Writer) error {
 	withMutants := fs.Bool("mutants", false, "run only the mutant regression suite")
 	quick := fs.Bool("quick", false, "PR gate: 2-seed campaign plus the mutant suite")
 	shrink := fs.Bool("shrink", false, "shrink failing cases to minimal reproducers")
-	workers := fs.Int("workers", 0, "deprecated alias of -j")
 	j := fs.Int("j", 0, "parallel fleet workers (0 = all host CPUs)")
 	shards := fs.Int("shards", 0, "fleet work-stealing shards (0 = one per worker)")
 	repro := fs.String("repro", "", "replay one reproducer string instead of running a campaign")
@@ -94,9 +93,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *seeds < 1 {
 		return fmt.Errorf("modelcheck: -seeds must be >= 1 (got %d)", *seeds)
-	}
-	if *j == 0 {
-		*j = *workers
 	}
 	fc, err := fleet.Flags(*j, *shards)
 	if err != nil {

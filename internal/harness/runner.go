@@ -209,9 +209,11 @@ func (r *Runner) RunAllRollup(cfgs []DSConfig, ru *rollup.Campaign) []Result {
 // Metrics records the runner's own pooling efficiency into reg under the
 // harness_* namespace: prefill snapshot hits and misses, instance machine
 // builds vs resets, and the pool size. Call after the campaign's fan-outs
-// complete. Note the prefill hit/miss split is racy at -j > 1 (two workers
-// cold-filling the same key both count a miss), so these metrics are
-// excluded from byte-identity gates; gate them with tolerances instead.
+// complete. Prefill fills are single-flight per key (see FillCache), so the
+// hit/miss split is exact at any -j — one miss per fill key, one hit per
+// further point — and harness_prefill_* is byte-identical across worker
+// counts. The instance build/reset split and the pool size depend on how
+// many workers ran and are host state.
 func (r *Runner) Metrics(reg *obs.Registry) {
 	if reg == nil {
 		return
