@@ -1,13 +1,20 @@
+//go:build go1.23
+
+// The build constraint raises this file's language version to go1.23 for
+// iter.Pull while the root and hostbench modules still declare go 1.22; the
+// two go lines have to move together, so the constraint stays until they do.
+
 // Package sim implements a deterministic discrete-event simulation of a
 // small shared-memory multiprocessor.
 //
-// Each simulated hardware thread (a Proc) is backed by one goroutine, but at
-// most one Proc executes at any moment: the scheduler always runs the
-// runnable Proc with the smallest virtual clock, handing control off over
-// channels. Because execution is cooperatively serialized, all simulated
-// machine state (memory words, transaction metadata, statistics) can be
-// plain Go data with no locking, and every run is bit-for-bit reproducible
-// for a given seed regardless of the host's core count.
+// Each simulated hardware thread (a Proc) runs its body as a coroutine
+// (iter.Pull), and at most one Proc executes at any moment: a scheduler loop
+// on Run's goroutine always resumes the runnable Proc with the smallest
+// virtual clock, and the Proc switches back to the loop when it yields,
+// blocks or finishes. Because execution is cooperatively serialized, all
+// simulated machine state (memory words, transaction metadata, statistics)
+// can be plain Go data with no locking, and every run is bit-for-bit
+// reproducible for a given seed regardless of the host's core count.
 //
 // Virtual time is measured in cycles. Procs advance their clock explicitly
 // (Advance), block on events with optional deadlines (Block), and are woken
@@ -19,6 +26,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math"
 )
 
@@ -47,8 +55,6 @@ const (
 	// WakeDoom means the Proc's running transaction was doomed while it was
 	// blocked.
 	WakeDoom
-	// wakeKill tears the Proc down (machine shutdown after deadlock).
-	wakeKill
 )
 
 type procState int8
@@ -61,7 +67,7 @@ const (
 	stateDone
 )
 
-// killSentinel unwinds a Proc goroutine during machine teardown.
+// killSentinel unwinds a suspended Proc body during machine teardown.
 type killSentinel struct{}
 
 // Config parameterizes a Machine.
@@ -108,7 +114,6 @@ type Machine struct {
 	cfg        Config
 	procs      []*Proc
 	nLive      int
-	done       chan struct{}
 	failed     error
 	killed     bool
 	htSlowdown int // percent surcharge while a core-sibling is active
@@ -121,25 +126,22 @@ type Machine struct {
 	jrng uint64
 	// otherMin caches the smallest effective time among runnable Procs other
 	// than the one currently holding the token (MaxUint64 when none). It is
-	// recomputed by dispatchNext when the token moves and can only decrease
-	// while a Proc runs (the single-runner invariant: only the running Proc
-	// mutates machine state, and the only state change that makes another
-	// Proc runnable earlier is Wake). It lets Advance keep the token with an
-	// O(1) compare instead of an O(P) scan per memory access.
+	// recomputed by the scheduler loop when the token moves and can only
+	// decrease while a Proc runs (the single-runner invariant: only the
+	// running Proc mutates machine state, and the only state change that
+	// makes another Proc runnable earlier is Wake). It lets Advance keep the
+	// token with an O(1) compare instead of an O(P) scan per memory access.
 	otherMin uint64
 }
 
 // Proc is one simulated hardware thread. All methods must be called from the
-// goroutine that runs this Proc's body (except Wake, which any running Proc
-// may call on any other Proc).
+// body running on this Proc (except Wake, which any running Proc may call on
+// any other Proc).
 type Proc struct {
-	id    int
-	m     *Machine
-	clock uint64
-	state procState
-	// wake carries the scheduler token: a Proc runs iff it has received on
-	// this channel more recently than it has handed the token away.
-	wake      chan WakeCause
+	id        int
+	m         *Machine
+	clock     uint64
+	state     procState
 	deadline  uint64
 	rng       uint64
 	body      func(*Proc)
@@ -147,8 +149,17 @@ type Proc struct {
 	wakeFloor uint64  // clock floor applied when the proc is next scheduled
 	// pendingCause is the cause recorded by Wake, delivered at dispatch.
 	pendingCause WakeCause
-	// lastWake is the cause observed by the most recent park.
+	// lastWake is the cause the scheduler loop hands over with the token;
+	// Block reports it.
 	lastWake WakeCause
+	// seq is p.run bound once, so each Run's iter.Pull reuses it.
+	seq iter.Seq[struct{}]
+	// resume and stop drive this Run's coroutine (nil outside Run): resume
+	// passes the token to the body until it yields, blocks or returns; stop
+	// unwinds a suspended body. yield is the body's side of the switch.
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
 }
 
 // New creates a Machine with cfg.Procs simulated threads and no bodies yet.
@@ -158,22 +169,27 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m := &Machine{
 		cfg:  cfg,
-		done: make(chan struct{}),
 		jrng: mixSeed(cfg.Seed, uint64(MaxProcs)+1),
 	}
 	m.procs = make([]*Proc, cfg.Procs)
 	for i := range m.procs {
-		m.procs[i] = &Proc{
-			id:       i,
-			m:        m,
-			state:    stateNew,
-			wake:     make(chan WakeCause, 1),
-			deadline: NoDeadline,
-			rng:      mixSeed(cfg.Seed, uint64(i)),
-		}
+		m.procs[i] = newProc(i, m)
 	}
 	m.initTopology()
 	return m, nil
+}
+
+// newProc builds proc id of m in its New state.
+func newProc(id int, m *Machine) *Proc {
+	p := &Proc{
+		id:       id,
+		m:        m,
+		state:    stateNew,
+		deadline: NoDeadline,
+		rng:      mixSeed(m.cfg.Seed, uint64(id)),
+	}
+	p.seq = p.run
+	return p
 }
 
 // initTopology derives the SMT sibling groups and slowdown surcharge from
@@ -209,18 +225,17 @@ func (m *Machine) initTopology() {
 }
 
 // Reset returns the Machine to the state New(cfg) would produce, reusing
-// the proc table and scheduler channels where cfg.Procs allows. It is the
-// rebuild-free path for pooled simulator instances: a Reset machine runs
-// the same bodies to bit-for-bit the same execution a freshly constructed
-// one would. Reset must only be called after Run has returned (or before
-// Run was ever called) — never while procs are live.
+// the proc table where cfg.Procs allows. It is the rebuild-free path for
+// pooled simulator instances: a Reset machine runs the same bodies to
+// bit-for-bit the same execution a freshly constructed one would. Reset
+// must only be called after Run has returned (or before Run was ever
+// called) — never while procs are live.
 func (m *Machine) Reset(cfg Config) error {
 	if cfg.Procs < 1 || cfg.Procs > MaxProcs {
 		return fmt.Errorf("sim: Procs must be in [1,%d], got %d", MaxProcs, cfg.Procs)
 	}
 	m.cfg = cfg
 	m.nLive = 0
-	m.done = make(chan struct{})
 	m.failed = nil
 	m.killed = false
 	m.bodyErr = nil
@@ -233,14 +248,8 @@ func (m *Machine) Reset(cfg Config) error {
 	}
 	for i, p := range m.procs {
 		if p == nil {
-			p = &Proc{id: i, wake: make(chan WakeCause, 1)}
+			p = newProc(i, m)
 			m.procs[i] = p
-		}
-		// A completed Run leaves every wake channel drained; scrub anyway so
-		// a machine abandoned in a weird state cannot leak a stale token.
-		select {
-		case <-p.wake:
-		default:
 		}
 		p.m = m
 		p.clock = 0
@@ -291,6 +300,10 @@ func (m *Machine) Go(body func(*Proc)) *Proc {
 // the first scheduling failure (e.g. ErrDeadlock), if any. Procs without a
 // body simply never run. Run must be called exactly once per construction
 // or Reset.
+//
+// Each body runs as a coroutine that the scheduler loop on the calling
+// goroutine resumes; no body is left suspended when Run returns. A panic
+// escaping a body is re-raised here once every other body is unwound.
 func (m *Machine) Run() error {
 	m.nLive = 0
 	for _, p := range m.procs {
@@ -300,111 +313,94 @@ func (m *Machine) Run() error {
 		}
 		p.state = stateReady
 		m.nLive++
-		go p.run()
+		p.resume, p.stop = iter.Pull(p.seq)
 	}
-	if m.nLive == 0 {
-		return nil
-	}
-	m.dispatchNext()
-	<-m.done
+	defer m.teardown()
+	m.schedule()
 	if m.bodyErr != nil {
 		panic(m.bodyErr)
 	}
 	return m.failed
 }
 
-// run is the Proc goroutine: wait for the first token, execute the body,
-// then retire and pass the token on.
-func (p *Proc) run() {
-	cause := <-p.wake
-	if cause == wakeKill {
-		p.retire()
-		return
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(killSentinel); ok {
-				p.retire()
-				return
-			}
-			// A real bug in a body: surface it on the host goroutine.
-			if p.m.bodyErr == nil {
-				p.m.bodyErr = r
-			}
-			p.m.killed = true
-			p.retire()
+// schedule is the scheduler loop: it hands the token to the runnable Proc
+// with the smallest virtual clock and takes it back when that Proc yields,
+// blocks or finishes, until every body has finished or the machine is
+// killed. A blocked Proc with a deadline is runnable at max(clock,
+// deadline).
+func (m *Machine) schedule() {
+	for m.nLive > 0 && !m.killed {
+		next, cause, otherMin := m.pickNext()
+		if next == nil {
+			m.failed = ErrDeadlock
+			m.killed = true
 			return
 		}
-		p.retire()
-	}()
-	p.state = stateRunning
-	p.body(p)
-}
-
-// retire marks the Proc done and hands the scheduler token to the next
-// runnable Proc (or completes the machine).
-func (p *Proc) retire() {
-	p.state = stateDone
-	p.m.nLive--
-	p.m.dispatchNext()
-}
-
-// dispatchNext transfers control to the runnable Proc with the smallest
-// virtual clock. A blocked Proc with a deadline is runnable at
-// max(clock, deadline). Must be called by the (formerly) running goroutine
-// or by Run at startup; the caller must not touch machine state afterwards
-// unless it parks and is rescheduled.
-func (m *Machine) dispatchNext() {
-	if m.nLive == 0 {
-		close(m.done)
-		return
+		if cause == WakeTimeout {
+			if next.deadline > next.clock {
+				next.clock = next.deadline
+			}
+			next.deadline = NoDeadline
+		}
+		if next.wakeFloor > next.clock {
+			next.clock = next.wakeFloor
+		}
+		next.wakeFloor = 0
+		if j := m.cfg.JitterCycles; j > 0 {
+			// Charge the dispatch-latency perturbation before the token lands.
+			// The winner may now trail otherMin; its first Advance then yields,
+			// which is exactly the interleaving shift the jitter exists to cause.
+			next.clock += m.jitterRand() % j
+		}
+		m.otherMin = otherMin
+		next.state = stateRunning
+		next.lastWake = cause
+		next.resume()
 	}
-	if m.killed {
-		// Teardown: wake any live proc with the kill token; it will retire
-		// and continue the cascade until nLive hits zero.
-		for _, q := range m.procs {
-			if q.state == stateReady || q.state == stateBlocked {
-				q.state = stateRunning
-				q.wake <- wakeKill
-				return
+}
+
+// teardown unwinds every body still suspended (after a deadlock or a body
+// panic) in Proc id order and releases each Proc's coroutine. It also runs
+// when Run exits early, so a body that ends its goroutine (runtime.Goexit)
+// leaves no other coroutine behind.
+func (m *Machine) teardown() {
+	for _, p := range m.procs {
+		if p.stop != nil {
+			p.stop()
+		}
+		p.resume, p.stop = nil, nil
+		p.state = stateDone
+	}
+	m.nLive = 0
+}
+
+// run is the coroutine body of a Proc: execute the body with the token, then
+// retire. A killSentinel unwind ends the body quietly; any other panic is
+// recorded for Run to re-raise and kills the machine.
+func (p *Proc) run(yield func(struct{}) bool) {
+	p.yield = yield
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(killSentinel); !ok {
+				// A real bug in a body: surface it on the host goroutine.
+				if p.m.bodyErr == nil {
+					p.m.bodyErr = r
+				}
+				p.m.killed = true
 			}
 		}
-		// Live procs exist but none are parked: impossible under the
-		// single-runner invariant; fall through to deadlock for safety.
-	}
-	next, cause, otherMin := m.pickNext()
-	if next == nil {
-		m.failed = ErrDeadlock
-		m.killed = true
-		m.dispatchNext()
-		return
-	}
-	if cause == WakeTimeout {
-		if next.deadline > next.clock {
-			next.clock = next.deadline
-		}
-		next.deadline = NoDeadline
-	}
-	if next.wakeFloor > next.clock {
-		next.clock = next.wakeFloor
-	}
-	next.wakeFloor = 0
-	if j := m.cfg.JitterCycles; j > 0 {
-		// Charge the dispatch-latency perturbation before the token lands.
-		// The winner may now trail otherMin; its first Advance then yields,
-		// which is exactly the interleaving shift the jitter exists to cause.
-		next.clock += m.jitterRand() % j
-	}
-	m.otherMin = otherMin
-	next.state = stateRunning
-	next.wake <- cause
+		p.yield = nil
+		p.state = stateDone
+		p.m.nLive--
+	}()
+	p.body(p)
 }
 
 // pickNext chooses the runnable Proc with the smallest effective time,
 // breaking ties by Proc id (for determinism). It also reports the smallest
 // effective time among the remaining runnable Procs (MaxUint64 when none),
-// which dispatchNext caches as otherMin for the winner's token-keeping fast
-// path. Returns nil if nothing can ever run again.
+// which the scheduler loop caches as otherMin for the winner's token-keeping
+// fast path. Returns nil if nothing can ever run again.
 func (m *Machine) pickNext() (*Proc, WakeCause, uint64) {
 	var (
 		best      *Proc
@@ -497,17 +493,15 @@ func (p *Proc) maybeYield() {
 		return
 	}
 	p.state = stateReady
-	p.m.dispatchNext()
 	p.park()
 }
 
-// park waits for the scheduler token; a kill token unwinds the goroutine.
+// park switches back to the scheduler loop and returns when the loop hands
+// the token back. A stopped coroutine (machine teardown) unwinds the body.
 func (p *Proc) park() {
-	cause := <-p.wake
-	if cause == wakeKill {
+	if !p.yield(struct{}{}) {
 		panic(killSentinel{})
 	}
-	p.lastWake = cause
 }
 
 // Block parks the Proc until another Proc calls Wake on it or the deadline
@@ -517,7 +511,6 @@ func (p *Proc) park() {
 func (p *Proc) Block(deadline uint64) WakeCause {
 	p.state = stateBlocked
 	p.deadline = deadline
-	p.m.dispatchNext()
 	p.park()
 	return p.lastWake
 }
