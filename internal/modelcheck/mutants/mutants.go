@@ -290,6 +290,7 @@ func (s *ignoreForfeitAdaptive) Name() string { return "adaptive-ignore-forfeit"
 type eagerLazySub struct {
 	m          *htm.Memory
 	l          locks.Lock
+	fallback   *core.Standard // the shared lock-fallback bracket
 	MaxRetries int
 }
 
@@ -300,7 +301,7 @@ func buildEagerLazySub(hm *htm.Memory, c modelcheck.Case) (core.Scheme, locks.El
 	if err != nil {
 		return nil, nil, err
 	}
-	return &eagerLazySub{m: hm, l: l, MaxRetries: c.MaxRetries}, l, nil
+	return &eagerLazySub{m: hm, l: l, fallback: core.NewStandard(hm, l), MaxRetries: c.MaxRetries}, l, nil
 }
 
 func (s *eagerLazySub) Name() string { return "lazysub-eager" }
@@ -332,12 +333,7 @@ func (s *eagerLazySub) Critical(p *sim.Proc, body func(c htm.Ctx)) core.Outcome 
 		}
 	}
 	o.Attempts++
-	s.m.TraceLockWait(p)
-	s.l.Lock(p)
-	s.m.TraceLock(p)
-	body(htm.Ctx{P: p, M: s.m})
-	s.l.Unlock(p)
-	s.m.TraceUnlock(p)
+	s.fallback.Critical(p, body)
 	return o
 }
 
